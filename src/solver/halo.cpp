@@ -1,6 +1,7 @@
 #include "solver/halo.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <span>
 
 #include "trace/trace.hpp"
 
@@ -15,39 +16,41 @@ Halo::Halo(const Layout& l, std::array<bool, 3> periodic, vmpi::Comm* comm,
 
 namespace {
 
-// Visit all (i, j, k) of a slab: `axis` runs over [a_begin, a_end), the
-// orthogonal axes run over their full ghosted extents.
-template <typename Fn>
-void slab(const Layout& l, int axis, int a_begin, int a_end, Fn&& fn) {
-  const int a1 = (axis + 1) % 3, a2 = (axis + 2) % 3;
-  int ijk[3];
-  for (int q = -l.g(a2); q < l.n(a2) + l.g(a2); ++q) {
-    for (int r = -l.g(a1); r < l.n(a1) + l.g(a1); ++r) {
-      for (int s = a_begin; s < a_end; ++s) {
-        ijk[axis] = s;
-        ijk[a1] = r;
-        ijk[a2] = q;
-        fn(ijk[0], ijk[1], ijk[2]);
-      }
-    }
-  }
+// The slab where `axis` runs over [a_begin, a_end) and the other axes over
+// their full ghosted extents, as `count` contiguous runs of `len` doubles;
+// run r starts at flat index first + r * pitch.
+struct Runs {
+  std::size_t first, len, pitch, count;
+};
+
+Runs slab_runs(const Layout& l, int axis, int a_begin, int a_end) {
+  const auto st = static_cast<std::size_t>(l.stride(axis));
+  const std::size_t pitch =
+      st * static_cast<std::size_t>(l.n(axis) + 2 * l.g(axis));
+  return {static_cast<std::size_t>(a_begin + l.g(axis)) * st,
+          static_cast<std::size_t>(a_end - a_begin) * st, pitch,
+          l.total() / pitch};
 }
 
 }  // namespace
 
 void Halo::exchange_axis_local(double* f, int axis) {
   const int n = l_.n(axis), g = l_.g(axis);
+  const auto st = static_cast<std::size_t>(l_.stride(axis));
+  const std::ptrdiff_t shift = n * l_.stride(axis);
+  // Chunks of at most n planes never overlap their source; walking them in
+  // increasing order keeps the wrap's reads exact when n < g (halo.hpp).
+  const std::size_t chunk = static_cast<std::size_t>(std::min(n, g)) * st;
+  auto wrap = [&](const Runs& s, std::ptrdiff_t src_offset) {
+    for (std::size_t r = 0; r < s.count; ++r) {
+      double* d = f + s.first + r * s.pitch;
+      for (std::size_t c = 0; c < s.len; c += chunk)
+        std::copy_n(d + c + src_offset, std::min(chunk, s.len - c), d + c);
+    }
+  };
   // Low ghosts <- high interior; high ghosts <- low interior.
-  slab(l_, axis, -g, 0, [&](int i, int j, int k) {
-    int src[3] = {i, j, k};
-    src[axis] += n;
-    f[l_.at(i, j, k)] = f[l_.at(src[0], src[1], src[2])];
-  });
-  slab(l_, axis, n, n + g, [&](int i, int j, int k) {
-    int src[3] = {i, j, k};
-    src[axis] -= n;
-    f[l_.at(i, j, k)] = f[l_.at(src[0], src[1], src[2])];
-  });
+  wrap(slab_runs(l_, axis, -g, 0), shift);
+  wrap(slab_runs(l_, axis, n, n + g), -shift);
 }
 
 void Halo::exchange_axis_parallel(const std::vector<double*>& fields,
@@ -56,55 +59,58 @@ void Halo::exchange_axis_parallel(const std::vector<double*>& fields,
   const int nb_lo = cart_->neighbor(axis, -1);
   const int nb_hi = cart_->neighbor(axis, +1);
 
-  // Pack order: for each field, slab points in deterministic order.
-  auto pack = [&](int a_begin, int a_end) {
-    std::vector<double> buf;
-    buf.reserve(fields.size() * g * l_.total() / std::max(l_.n(axis), 1));
-    for (double* f : fields)
-      slab(l_, axis, a_begin, a_end,
-           [&](int i, int j, int k) { buf.push_back(f[l_.at(i, j, k)]); });
-    return buf;
+  // Every slab of this axis has the same shape, so one element count
+  // sizes all three buffers.
+  const Runs lo_ghost = slab_runs(l_, axis, -g, 0);
+  const std::size_t slab_elems =
+      fields.size() * lo_ghost.len * lo_ghost.count;
+  for (auto* b : {&send_, &recv_lo_, &recv_hi_})
+    if (b->size() < slab_elems) b->resize(slab_elems);
+
+  // Pack order: for each field, the slab's runs in memory order.
+  auto pack = [&](const Runs& s) {
+    double* p = send_.data();
+    for (const double* f : fields)
+      for (std::size_t r = 0; r < s.count; ++r)
+        p = std::copy_n(f + s.first + r * s.pitch, s.len, p);
+    return std::span<const double>(send_.data(), slab_elems);
   };
-  auto unpack = [&](const std::vector<double>& buf, int a_begin, int a_end) {
-    std::size_t p = 0;
+  auto unpack = [&](const std::vector<double>& buf, const Runs& s) {
+    const double* p = buf.data();
     for (double* f : fields)
-      slab(l_, axis, a_begin, a_end,
-           [&](int i, int j, int k) { f[l_.at(i, j, k)] = buf[p++]; });
-    S3D_ASSERT(p == buf.size());
+      for (std::size_t r = 0; r < s.count; ++r, p += s.len)
+        std::copy_n(p, s.len, f + s.first + r * s.pitch);
   };
 
   const int tag_up = 100 + axis * 2;      // data moving toward +axis
   const int tag_down = 101 + axis * 2;    // data moving toward -axis
 
-  std::vector<double> send_hi, send_lo, recv_lo_buf, recv_hi_buf;
-  std::vector<vmpi::Request> reqs;
-
-  const std::size_t slab_elems =
-      fields.size() * static_cast<std::size_t>(g) *
-      (l_.n((axis + 1) % 3) + 2 * l_.g((axis + 1) % 3)) *
-      (l_.n((axis + 2) % 3) + 2 * l_.g((axis + 2) % 3));
-
+  std::array<vmpi::Request, 4> reqs;
+  std::size_t nreq = 0;
+  // vmpi isend copies the payload, so send_ is free for the next pack as
+  // soon as isend returns.
   if (nb_hi >= 0) {
-    send_hi = pack(n - g, n);  // my top interior -> neighbour's low ghosts
-    reqs.push_back(comm_->isend(nb_hi, tag_up, send_hi));
-    recv_hi_buf.resize(slab_elems);
-    reqs.push_back(comm_->irecv(nb_hi, tag_down, recv_hi_buf));
+    // My top interior -> neighbour's low ghosts.
+    reqs[nreq++] =
+        comm_->isend(nb_hi, tag_up, pack(slab_runs(l_, axis, n - g, n)));
+    reqs[nreq++] =
+        comm_->irecv(nb_hi, tag_down, {recv_hi_.data(), slab_elems});
   }
   if (nb_lo >= 0) {
-    send_lo = pack(0, g);  // my bottom interior -> neighbour's high ghosts
-    reqs.push_back(comm_->isend(nb_lo, tag_down, send_lo));
-    recv_lo_buf.resize(slab_elems);
-    reqs.push_back(comm_->irecv(nb_lo, tag_up, recv_lo_buf));
+    // My bottom interior -> neighbour's high ghosts.
+    reqs[nreq++] =
+        comm_->isend(nb_lo, tag_down, pack(slab_runs(l_, axis, 0, g)));
+    reqs[nreq++] = comm_->irecv(nb_lo, tag_up, {recv_lo_.data(), slab_elems});
   }
-  const std::size_t sent = (send_hi.size() + send_lo.size()) * sizeof(double);
+  const std::size_t sent = nreq / 2 * slab_elems * sizeof(double);
   trace::counter_add("halo.bytes", static_cast<double>(sent));
   {
     trace::Span wait_sp("halo.wait", "halo");
     wait_sp.set_bytes(sent);
-    comm_->waitall(reqs);
+    comm_->waitall({reqs.data(), nreq});
   }
-  if (nb_lo >= 0) unpack(recv_lo_buf, -g, 0);
-  if (nb_hi >= 0) unpack(recv_hi_buf, n, n + g);
+  if (nb_lo >= 0) unpack(recv_lo_, lo_ghost);
+  if (nb_hi >= 0) unpack(recv_hi_, slab_runs(l_, axis, n, n + g));
 }
 
 void Halo::exchange(const std::vector<double*>& fields) {
@@ -126,13 +132,6 @@ void Halo::exchange(const std::vector<double*>& fields) {
       for (double* f : fields) exchange_axis_local(f, axis);
     }
   }
-}
-
-void Halo::exchange_fields(const std::vector<GField*>& fields) {
-  std::vector<double*> raw;
-  raw.reserve(fields.size());
-  for (GField* f : fields) raw.push_back(f->data());
-  exchange(raw);
 }
 
 }  // namespace s3d::solver

@@ -202,14 +202,14 @@ __attribute__((noinline)) void heat_flux_row(
 
 RhsEvaluator::RhsEvaluator(const Config& cfg, const grid::Mesh& mesh,
                            const Layout& l, std::array<int, 3> offset,
-                           GhostFlags ghosts, Halo halo, vmpi::Comm* comm)
+                           GhostFlags ghosts, Halo& halo, vmpi::Comm* comm)
     : cfg_(cfg),
       mesh_(&mesh),
       l_(l),
       offset_(offset),
       ghosts_(ghosts),
       ops_(l, mesh, offset, ghosts),
-      halo_(std::move(halo)),
+      halo_(halo),
       mech_(cfg.mech),
       fits_(*cfg.mech),
       bchem_(*cfg.mech) {

@@ -51,11 +51,13 @@ class RhsEvaluator {
  public:
   /// `offset`: global index of this rank's first interior point per axis;
   /// `ghosts`: which sides have exchanged ghost shells; `halo` performs
-  /// the exchanges (serial or parallel). `comm` (optional) enables the
-  /// chemistry dynamic-load-balancing layer when Config::chem_dlb is on
-  /// and the communicator spans more than one rank.
+  /// the exchanges (serial or parallel) and must outlive the evaluator
+  /// (the Solver lends its own, so each rank keeps one buffer set).
+  /// `comm` (optional) enables the chemistry dynamic-load-balancing layer
+  /// when Config::chem_dlb is on and the communicator spans more than one
+  /// rank.
   RhsEvaluator(const Config& cfg, const grid::Mesh& mesh, const Layout& l,
-               std::array<int, 3> offset, GhostFlags ghosts, Halo halo,
+               std::array<int, 3> offset, GhostFlags ghosts, Halo& halo,
                vmpi::Comm* comm = nullptr);
 
   /// Evaluate dU/dt at time t. Interiors of dUdt are written; its ghost
@@ -120,7 +122,7 @@ class RhsEvaluator {
   std::array<int, 3> offset_;
   GhostFlags ghosts_;
   FieldOps ops_;
-  Halo halo_;
+  Halo& halo_;
   std::shared_ptr<const chem::Mechanism> mech_;
   transport::TransportFits fits_;
 

@@ -126,10 +126,9 @@ void Solver::setup(const Config& cfg, vmpi::Comm* comm, int px, int py,
     }
   }
 
-  Halo halo = comm ? Halo(l, periodic, comm, cart_.get())
-                   : Halo(l, periodic);
-  halo_state_ = std::make_unique<Halo>(halo);
-  rhs_ = std::make_unique<RhsEvaluator>(cfg_, *mesh_, l, offset_, gh, halo,
+  halo_ = comm ? std::make_unique<Halo>(l, periodic, comm, cart_.get())
+               : std::make_unique<Halo>(l, periodic);
+  rhs_ = std::make_unique<RhsEvaluator>(cfg_, *mesh_, l, offset_, gh, *halo_,
                                         comm);
 
   const int nv = n_conserved(ns);
@@ -375,7 +374,7 @@ void Solver::apply_filter(bool fold_tripwires) {
     if (l.active(a)) last_axis = a;
   for (int axis = 0; axis < 3; ++axis) {
     if (!l.active(axis)) continue;
-    halo_state_->exchange(vars);
+    halo_->exchange(vars);
     if (fold_tripwires && axis == last_axis) {
       // Fused commit: filter every variable into its own buffer, then
       // ONE pass copies all interiors back with the tripwire stage
@@ -446,7 +445,7 @@ const Prim& Solver::primitives() {
       rhs_->prim().w.data(),   rhs_->prim().T.data(), rhs_->prim().p.data(),
       rhs_->prim().Wbar.data()};
   for (int s = 0; s < ns; ++s) fields.push_back(rhs_->prim().Y[s].data());
-  halo_state_->exchange(fields);
+  halo_->exchange(fields);
   return rhs_->prim();
 }
 

@@ -138,8 +138,10 @@ class Solver {
   std::unique_ptr<vmpi::Cart> cart_;
   vmpi::Comm* comm_ = nullptr;
   std::array<int, 3> offset_{0, 0, 0};
+  /// This rank's ghost exchange and its buffers: the filter's exchanges
+  /// of U, primitives(), and (by reference) every rhs_ evaluation.
+  std::unique_ptr<Halo> halo_;
   std::unique_ptr<RhsEvaluator> rhs_;
-  std::unique_ptr<Halo> halo_state_;  ///< for filtering U
   State U_, dU_, k_;
   GField filt_tmp_;
   /// Per-variable filter buffers for the fused commit pass (lazily
