@@ -208,7 +208,6 @@ int main() {
   }
 
   // --- A/B: global dt halving vs the escalation ladder --------------------
-#ifndef S3D_ADAPTIVE_OFF
   std::printf("\nrecovery policy A/B under a seeded fault schedule "
               "(3 corrupt faults)\n");
   struct PolicyResult {
@@ -325,10 +324,6 @@ int main() {
                 ladder.wasted_frac, halving.wasted_frac);
     rc = 1;
   }
-#else
-  std::printf("\nrecovery policy A/B skipped: ladder compiled out "
-              "(S3D_ADAPTIVE=OFF)\n");
-#endif
 
   std::printf("\nacceptance: disarmed overhead <= ~2%%; armed in-pass must "
               "fold its scans (and be no slower than the legacy sweep on "

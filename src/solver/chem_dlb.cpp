@@ -67,10 +67,9 @@ std::vector<DlbTransfer> dlb_plan(std::span<const double> loads,
   return plan;
 }
 
-// Never inlined: the per-point chemistry loop, the batched chemistry pass
-// and the DLB result scatter all apply sources through this one compiled
-// body, so the `+= wdot * W` contraction is identical everywhere
-// (DESIGN.md §11).
+// Never inlined: the batched chemistry pass and the DLB result scatter
+// both apply sources through this one compiled body, so the `+= wdot * W`
+// contraction is identical for local and hosted cells (DESIGN.md §11).
 __attribute__((noinline)) void chem_apply_wdot_cell(State& dUdt,
                                                     std::size_t n,
                                                     const double* wdot,

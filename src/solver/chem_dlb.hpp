@@ -70,9 +70,9 @@ struct DlbStats {
 };
 
 /// The one compiled body applying a cell's chemistry source into dUdt
-/// (never inlined): the local per-point loop, the batched chemistry pass
-/// and the DLB result scatter all land here, so `dUdt += wdot * W`
-/// contracts identically everywhere (DESIGN.md §11).
+/// (never inlined): the batched chemistry pass and the DLB result
+/// scatter both land here, so `dUdt += wdot * W` contracts identically
+/// for local and hosted cells (DESIGN.md §11).
 void chem_apply_wdot_cell(State& dUdt, std::size_t n, const double* wdot,
                           const double* W, int ns);
 

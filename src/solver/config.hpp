@@ -110,9 +110,8 @@ struct CkptOptions {
 /// The controller state is reduced collectively (one allreduce over the
 /// block vector) so every rank holds the identical block→dt map bitwise.
 /// Off by default: a disarmed run is bit-identical to the pre-adaptive
-/// stepper. Building with -DS3D_ADAPTIVE=OFF hard-disables the ladder
-/// (the build-noadapt verify lane proves the OFF path matches the
-/// global-halving goldens).
+/// stepper (AdaptiveGuard.CleanRunAtDefaultsMatchesLegacyPath, and the
+/// global-halving goldens run with it off).
 struct AdaptiveOptions {
   bool enabled = false;
   /// Cells per axis of one controller block. The tiling is over GLOBAL
@@ -195,34 +194,6 @@ struct Config {
   /// x-length when 0).
   double L_relax = 0.0;
 
-  /// Fused-pass execution (DESIGN.md §10): evaluate the RHS and RK
-  /// stages as a small list of fused, cache-blocked sweeps (batched
-  /// derivatives, fused flux assembly/divergence, in-pass health
-  /// tripwires). Bitwise identical to the unfused reference path, which
-  /// remains selectable here; building with -DS3D_FUSION=OFF flips the
-  /// default so an entire test lane exercises the reference path.
-#ifdef S3D_FUSION_OFF
-  bool fusion = false;
-#else
-  bool fusion = true;
-#endif
-
-  /// Row-batched chemistry/transport kernels (DESIGN.md §11): stage the
-  /// shared per-cell quantities (ln T, Gibbs energies, concentrations)
-  /// over contiguous rows and ride the fused traversal as passes.*
-  /// stages, instead of per-point calls that re-derive them. Effective
-  /// only with `fusion` on (the unfused path IS the per-point
-  /// reference). Bitwise identical to per-point — the batched and
-  /// per-point paths execute the same compiled kernel bodies — which
-  /// ctest -L equivalence and the golden fused/unfused cross-check pin.
-  /// Building with -DS3D_BATCH=OFF flips the default so the per-point
-  /// reference stays continuously tested.
-#ifdef S3D_BATCH_OFF
-  bool batching = false;
-#else
-  bool batching = true;
-#endif
-
   /// Chemistry dynamic load balancing over vmpi (DESIGN.md §11): when
   /// reacting cells concentrate in a few ranks' subdomains, overloaded
   /// ranks pack surplus hot cells into work parcels, ship them to
@@ -232,13 +203,8 @@ struct Config {
   /// shipped cells run the same compiled kinetics kernel — so any rank
   /// count reproduces the serial answer bitwise (test_rank_invariance
   /// pins it). Engages only when size > 1 and the measured imbalance
-  /// exceeds dlb_imbalance_tol. -DS3D_DLB=OFF flips the build default
-  /// (the build-nodlb verify lane).
-#ifdef S3D_DLB_OFF
-  bool chem_dlb = false;
-#else
+  /// exceeds dlb_imbalance_tol.
   bool chem_dlb = true;
-#endif
   /// Cells with T >= dlb_hot_T count as "hot" (reacting) in the DLB
   /// cost model; the threshold reads the resolved temperature field, so
   /// the classification is identical on every rank count.

@@ -503,14 +503,9 @@ GuardReport run_guarded(Solver& s, int nsteps, const GuardOptions& opts,
   const bool armed = opts.health.enabled;
   const bool rank0 = !comm || comm->rank() == 0;
 
-  // Resolve the adaptive policy: explicit override, else the solver
-  // Config's. The build-noadapt lane compiles the ladder away entirely,
-  // so -DS3D_ADAPTIVE=OFF provably matches the global-halving goldens.
-  AdaptiveOptions ad =
+  // Resolve the adaptive policy: explicit override, else the solver Config's.
+  const AdaptiveOptions ad =
       opts.adaptive ? *opts.adaptive : s.rhs().config().adaptive;
-#ifdef S3D_ADAPTIVE_OFF
-  ad.enabled = false;
-#endif
   const bool adaptive = armed && ad.enabled;
 
   HealthSentinel sentinel(s, opts.health, comm);

@@ -92,9 +92,9 @@ struct HealthConfig {
   double dt_safety = 1.5;     ///< breach when dt_used > dt_safety * stable
   /// Fold the conserved-state tripwires into the final fused pass of an
   /// armed step (DESIGN.md §10) so the scan costs no separate sweep.
-  /// Requires Config::fusion and a caller that arms before stepping
-  /// (run_guarded does); the verdict is bit-identical to the separate
-  /// sweep, which remains the fallback whenever folding is impossible.
+  /// Requires a caller that arms before stepping (run_guarded does); the
+  /// verdict is bit-identical to the separate sweep, which remains the
+  /// fallback whenever folding is impossible.
   bool in_pass = true;
 };
 
@@ -240,8 +240,7 @@ struct GuardOptions {
   /// controller, proactive stiff-region subcycling, and the breach
   /// escalation ladder (subcycle → localized rollback → global rollback
   /// with dt halving → series restore); disabled, behavior is exactly
-  /// the legacy global-halving policy. Builds with -DS3D_ADAPTIVE=OFF
-  /// force-disable it regardless of this setting.
+  /// the legacy global-halving policy.
   std::optional<AdaptiveOptions> adaptive;
 
   /// Plugin-state sidecar (DESIGN.md §15): installed on the guard's

@@ -12,21 +12,19 @@
 //   batched_deriv    derivatives of many fields along one axis in one
 //                    tiled traversal of the line space, optionally
 //                    accumulating a divergence (out -= df) directly
-//                    into the target so the scratch round-trip of the
-//                    unfused path disappears;
+//                    into the target with no scratch round-trip;
 //   TripwireAccum    the health sentinel's conserved-state tripwires
 //                    (non-finite, negative density, Y drift) evaluated
 //                    per interior row inside the final state-committing
 //                    pass of a step, so an armed scan costs no separate
 //                    sweep.
 //
-// Every pass counts its traversals into a PassStats so bench_fusion can
-// report sweeps-over-memory saved, and runs under a named trace span so
-// the kernel profile reports the pass structure. Fusion never changes
-// per-cell arithmetic, only traversal structure, so the fused plan is
-// bitwise identical to the unfused reference path (proved by the golden
-// and test_passes suites; the reference path stays selectable through
-// Config::fusion / -DS3D_FUSION=OFF).
+// Every pass counts its traversals into a PassStats (test_passes pins
+// the per-eval and per-step sweep counts exactly) and runs under a named
+// trace span so the kernel profile reports the pass structure. Fusion
+// never changes per-cell arithmetic, only traversal structure:
+// batched_deriv is pinned bitwise against FieldOps::deriv, and the golden
+// checksums recorded from the retired unfused plan still hold.
 
 #include <array>
 #include <functional>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "chem/mixing.hpp"
 #include "solver/dt_control.hpp"
@@ -28,36 +27,12 @@ void for_interior(const Layout& l, Fn&& fn) {
     }
 }
 
-// Iterate interior plus the ghost shells that have been exchanged.
-template <typename Fn>
-void for_valid(const Layout& l, const GhostFlags& gh, Fn&& fn) {
-  const int klo = gh.lo[2] ? -l.gz : 0, khi = l.nz + (gh.hi[2] ? l.gz : 0);
-  const int jlo = gh.lo[1] ? -l.gy : 0, jhi = l.ny + (gh.hi[1] ? l.gy : 0);
-  const int ilo = gh.lo[0] ? -l.gx : 0, ihi = l.nx + (gh.hi[0] ? l.gx : 0);
-  for (int k = klo; k < khi; ++k)
-    for (int j = jlo; j < jhi; ++j) {
-      const std::size_t row = l.at(ilo, j, k);
-      for (int i = 0; i < ihi - ilo; ++i) fn(row + i);
-    }
-}
-
-// Same traversal as for_valid, one call per contiguous x-row. The fused
-// pass (FusedPointwise::run_valid) visits rows in exactly this order.
-template <typename Fn>
-void for_valid_rows(const Layout& l, const GhostFlags& gh, Fn&& fn) {
-  const int klo = gh.lo[2] ? -l.gz : 0, khi = l.nz + (gh.hi[2] ? l.gz : 0);
-  const int jlo = gh.lo[1] ? -l.gy : 0, jhi = l.ny + (gh.hi[1] ? l.gy : 0);
-  const int ilo = gh.lo[0] ? -l.gx : 0, ihi = l.nx + (gh.hi[0] ? l.gx : 0);
-  for (int k = klo; k < khi; ++k)
-    for (int j = jlo; j < jhi; ++j) fn(l.at(ilo, j, k), ihi - ilo);
-}
-
-// Convective-flux row kernels shared by the fused and unfused paths.
-// noinline pins ONE compiled body per kernel: both traversals execute
-// identical machine code over identical row extents, so the compiler's
-// FP-contraction choices (FMA formation is context-sensitive at -O3)
-// cannot make the two paths round differently. Inlining either side
-// would re-specialize the loop and break the bitwise contract.
+// Convective-flux row kernels. noinline pins ONE compiled body per
+// kernel: every call site executes identical machine code, so the
+// compiler's FP-contraction choices (FMA formation is context-sensitive
+// at -O3) cannot vary with the caller. The committed golden checksums
+// were recorded with exactly these bodies; inlining would re-specialize
+// the loop per call site and move those bits.
 __attribute__((noinline)) void flux_mass_row(const double* rho,
                                              const double* ub, double* f,
                                              std::size_t n0, int count) {
@@ -105,11 +80,10 @@ __attribute__((noinline)) void flux_species_row(const double* rho,
   }
 }
 
-// Diffusive-flux row kernels shared by the batched pass and the
-// per-point reference path (which calls them with count = 1). Same
+// Diffusive-flux row kernels driven by the batched transport pass. Same
 // noinline contract as the convective kernels above: one compiled body
-// per multiply-add expression, so batching can never round differently
-// (DESIGN.md §11).
+// per multiply-add expression, so the row length can never change the
+// rounding (DESIGN.md §11).
 
 // Stress tensor rows, paper eq. 14.
 __attribute__((noinline)) void stress_row(const double* mu,
@@ -238,20 +212,14 @@ RhsEvaluator::RhsEvaluator(const Config& cfg, const grid::Mesh& mesh,
   mu_f_ = GField(l_, 1.8e-5);
   lam_f_ = GField(l_, 0.026);
   lnT_f_ = GField(l_);
-  flux_tmp_ = GField(l_);
-  deriv_tmp_ = GField(l_);
-  if (cfg_.fusion) {
-    flux_bufs_.resize(n_conserved(ns));
-    for (auto& f : flux_bufs_) f = GField(l_);
-  }
+  flux_bufs_.resize(n_conserved(ns));
+  for (auto& f : flux_bufs_) f = GField(l_);
 
   for (int a = 0; a < 3; ++a)
     if (l_.active(a)) active_axes_.push_back(a);
 
   // Batched-kernel plumbing: stable pointer tables for the shared row
-  // kernels and row-local scratch (DESIGN.md §11). Batching rides the
-  // fused plan only; the unfused path is the per-point reference.
-  use_batching_ = cfg_.fusion && cfg_.batching;
+  // kernels and row-local scratch (DESIGN.md §11).
   Wvec_.resize(ns);
   soret_ratio_.resize(ns);
   Yptr_.resize(ns);
@@ -304,9 +272,8 @@ RhsEvaluator::RhsEvaluator(const Config& cfg, const grid::Mesh& mesh,
 }
 
 // The one compiled per-cell transport-property body (never inlined): the
-// per-point reference computes lnT itself and the batched pass reads it
-// from the staged lnT field, but both land here with the same doubles,
-// so the properties are bitwise identical across modes (DESIGN.md §11).
+// batched pass feeds it lnT from the staged field, so every row length
+// produces the same properties bit for bit (DESIGN.md §11).
 __attribute__((noinline)) void RhsEvaluator::compute_transport_point(
     double T, double lnT, double rho, double cp, const double* X, double& mu,
     double& lam, double* D) const {
@@ -388,7 +355,7 @@ void RhsEvaluator::eval(const State& U, double t, State& dUdt) {
   if (cfg_.include_viscous) {
     // ---- 3. gradients ----
     phase.reset();
-    if (cfg_.fusion) {
+    {
       // One batched pass per axis: all 5 + ns gradient fields share each
       // tiled traversal of the line space.
       trace::Span sp("pass.grad", "solver");
@@ -405,32 +372,15 @@ void RhsEvaluator::eval(const State& U, double t, State& dUdt) {
           targets.push_back({prim_.Y[s].data(), J_[s][a].data()});
         batched_deriv(ops_, a, targets, /*accumulate=*/false, &pass_stats_);
       }
-    } else {
-      trace::Span sp("rhs.gradients", "solver");
-      for (int a : active_axes_) {
-        ops_.deriv(prim_.u, a, dudx_[0][a]);
-        ops_.deriv(prim_.v, a, dudx_[1][a]);
-        ops_.deriv(prim_.w, a, dudx_[2][a]);
-        ops_.deriv(prim_.T, a, gradT_[a]);
-        ops_.deriv(prim_.Wbar, a, gradW_[a]);
-        for (int s = 0; s < ns; ++s) ops_.deriv(prim_.Y[s], a, J_[s][a]);
-        pass_stats_.sweeps += 5 + ns;
-        pass_stats_.stages += 5 + ns;
-      }
     }
     timers_.gradients += phase.seconds();
 
     // ---- 4. transport properties and diffusive fluxes (interior) ----
     // This is the COMPUTESPECIESDIFFFLUX / COMPUTEHEATFLUX kernel family
-    // of the paper's fig. 2/4. The batched shape stages shared per-cell
-    // quantities row by row as passes.* stages; the per-point shape is
-    // the reference. Both call the same compiled row kernels, so they
-    // are bitwise identical (DESIGN.md §11).
+    // of the paper's fig. 2/4, staging shared per-cell quantities row by
+    // row as passes.* stages (DESIGN.md §11).
     phase.reset();
-    if (use_batching_)
-      eval_diffusive_batched();
-    else
-      eval_diffusive_pointwise();
+    eval_diffusive();
     timers_.diffusive_flux += phase.seconds();
 
     // ---- 5. halo exchange of diffusive fluxes ----
@@ -454,80 +404,7 @@ void RhsEvaluator::eval(const State& U, double t, State& dUdt) {
 
   // ---- 6. total flux divergences ----
   phase.reset();
-  if (cfg_.fusion) {
-    eval_convective_fused(U, dUdt);
-  } else {
-  trace::Span sp_conv("rhs.convective", "solver");
-  auto du_all = dUdt.flat();
-  std::fill(du_all.begin(), du_all.end(), 0.0);
-  pass_stats_.count();  // dUdt zero-fill (same single sweep when fused)
-
-  const double* re0 = U.var(UIndex::e0);
-  const bool visc = cfg_.include_viscous;
-  for (int b : active_axes_) {
-    const GField& ub = b == 0 ? prim_.u : b == 1 ? prim_.v : prim_.w;
-
-    auto add_div = [&](int v) {
-      ops_.deriv(flux_tmp_.data(), b, deriv_tmp_.data(), deriv_tmp_.size());
-      double* out = dUdt.var(v);
-      for_interior(l_, [&](std::size_t n, int, int, int) {
-        out[n] -= deriv_tmp_.data()[n];
-      });
-      pass_stats_.count();  // assemble sweep (counted at each call site)
-      pass_stats_.count();  // derivative sweep
-      pass_stats_.count();  // subtract sweep
-    };
-
-    // Mass: rho u_b.
-    for_valid_rows(l_, ghosts_, [&](std::size_t n0, int count) {
-      flux_mass_row(prim_.rho.data(), ub.data(), flux_tmp_.data(), n0,
-                    count);
-    });
-    add_div(UIndex::rho);
-
-    // Momentum components (only active axes can carry momentum).
-    for (int a : active_axes_) {
-      const GField& ua = a == 0 ? prim_.u : a == 1 ? prim_.v : prim_.w;
-      const double* taup = visc ? tau_[a][b].data() : nullptr;
-      const double* pdiag = a == b ? prim_.p.data() : nullptr;
-      for_valid_rows(l_, ghosts_, [&](std::size_t n0, int count) {
-        flux_momentum_row(prim_.rho.data(), ua.data(), ub.data(), pdiag,
-                          taup, flux_tmp_.data(), n0, count);
-      });
-      add_div(UIndex::mx + a);
-    }
-
-    // Total energy: u_b (rho e0 + p) - (tau . u)_b + q_b.
-    {
-      const double* uas[3] = {nullptr, nullptr, nullptr};
-      const double* taus[3] = {nullptr, nullptr, nullptr};
-      int na = 0;
-      if (visc)
-        for (int a : active_axes_) {
-          uas[na] = a == 0 ? prim_.u.data()
-                           : a == 1 ? prim_.v.data() : prim_.w.data();
-          taus[na] = tau_[a][b].data();
-          ++na;
-        }
-      const double* qb = visc ? q_[b].data() : nullptr;
-      for_valid_rows(l_, ghosts_, [&](std::size_t n0, int count) {
-        flux_energy_row(re0, prim_.p.data(), ub.data(), uas, taus, na, qb,
-                        flux_tmp_.data(), n0, count);
-      });
-      add_div(UIndex::e0);
-    }
-
-    // Species (first ns-1): rho Y_s u_b + J_sb.
-    for (int s = 0; s < ns - 1; ++s) {
-      const double* Jp = visc ? J_[s][b].data() : nullptr;
-      for_valid_rows(l_, ghosts_, [&](std::size_t n0, int count) {
-        flux_species_row(prim_.rho.data(), prim_.Y[s].data(), ub.data(), Jp,
-                         flux_tmp_.data(), n0, count);
-      });
-      add_div(UIndex::Y0 + s);
-    }
-  }
-  }
+  eval_convective(U, dUdt);
   timers_.convective += phase.seconds();
 
   // ---- 7. chemistry (paper's REACTION_RATE kernel) ----
@@ -547,45 +424,6 @@ void RhsEvaluator::eval(const State& U, double t, State& dUdt) {
   timers_.boundary += phase.seconds();
 
   ++timers_.evals;
-  (void)nv;
-}
-
-// Per-point reference for the diffusive phase: one cell at a time, every
-// row kernel invoked with count = 1. Because these are the SAME compiled
-// noinline bodies the batched pass drives over full rows, the two shapes
-// agree bitwise (test_transport_batched + the golden fused/unfused
-// cross-check enforce this continuously).
-void RhsEvaluator::eval_diffusive_pointwise() {
-  trace::Span sp("rhs.diffusive_flux", "solver");
-  const int ns = mech_->n_species();
-  const double* soret = cfg_.include_soret ? soret_ratio_.data() : nullptr;
-  const chem::Species* sps = mech_->all_species().data();
-  const int* axes = active_axes_.data();
-  const int na = static_cast<int>(active_axes_.size());
-  double X[chem::kMaxSpecies], Yp[chem::kMaxSpecies], D[chem::kMaxSpecies];
-  for_interior(l_, [&](std::size_t n, int, int, int) {
-    const double T = prim_.T.data()[n];
-    const double lnT = std::log(T);  // s3dlint:allow(libm): THE one log(T)
-    const double rho = prim_.rho.data()[n];
-    const double Wbar = prim_.Wbar.data()[n];
-    for (int s = 0; s < ns; ++s) {
-      Yp[s] = prim_.Y[s].data()[n];
-      X[s] = Yp[s] * Wbar / Wvec_[s];
-    }
-    const double cp =
-        mech_->cp_mass_mix(T, {Yp, static_cast<std::size_t>(ns)});
-    double mu, lam;
-    compute_transport_point(T, lnT, rho, cp, X, mu, lam, D);
-    mu_f_.data()[n] = mu;
-    lam_f_.data()[n] = lam;
-    stress_row(mu_f_.data(), dudx_p_.data(), tau_p_.data(), axes, na, n, 1);
-    species_flux_row(prim_.rho.data(), prim_.T.data(), prim_.Wbar.data(),
-                     Yptr_.data(), gradW_p_.data(), gradT_p_.data(),
-                     J_p_.data(), D, soret, axes, na, ns, n, 1);
-    heat_flux_row(prim_.T.data(), lam_f_.data(), gradT_p_.data(), J_p_.data(),
-                  q_p_.data(), sps, axes, na, ns, n, 1);
-  });
-  pass_stats_.count();  // single fused sweep in both diffusive shapes
 }
 
 // Batched diffusive phase: a named pass over interior rows. Stage "lnT"
@@ -594,7 +432,7 @@ void RhsEvaluator::eval_diffusive_pointwise() {
 // Stage "transport_props" stages X cell-major and runs the shared
 // per-cell property kernel; the flux stages drive the shared row kernels
 // over the whole row extent at once.
-void RhsEvaluator::eval_diffusive_batched() {
+void RhsEvaluator::eval_diffusive() {
   trace::Span sp("rhs.diffusive_flux", "solver");
   const int ns = mech_->n_species();
   const double* soret = cfg_.include_soret ? soret_ratio_.data() : nullptr;
@@ -655,9 +493,9 @@ void RhsEvaluator::eval_diffusive_batched() {
 // Chemistry phase. With DLB armed, begin_eval ships this rank's surplus
 // hot cells and returns the ascending skip list; the local kernel walks
 // rows in segments between skipped cells, and finish_eval scatters the
-// hosted results. Both local shapes and the DLB-hosted remote all funnel
-// through Mechanism::net_rates_ctx + chem_apply_wdot_cell, so every
-// rank-count / batching combination produces identical bits.
+// hosted results. The local rows and the DLB-hosted remote both funnel
+// through Mechanism::net_rates_ctx + chem_apply_wdot_cell, so every rank
+// count produces identical bits.
 void RhsEvaluator::eval_chemistry(State& dUdt) {
   trace::Span sp("chem.reaction_rate", "chem");
   const int ns = mech_->n_species();
@@ -667,74 +505,54 @@ void RhsEvaluator::eval_chemistry(State& dUdt) {
   const std::size_t skipN = skip ? skip->size() : 0;
   std::size_t scur = 0;  // cursor into the ascending skip list
 
-  if (use_batching_) {
-    const double* Tf = prim_.T.data();
-    const double* rhof = prim_.rho.data();
-    double* lnTf = lnT_f_.data();
-    FusedPointwise pass("pass.chem_source");
-    if (!cfg_.include_viscous) {
-      // No transport pass ran this evaluation, so stage ln T here.
-      pass.add("lnT", [Tf, lnTf](const RowRange& r) {
-        for (int c = 0; c < r.count; ++c) {
-          const std::size_t n = r.n0 + static_cast<std::size_t>(c);
-          lnTf[n] = std::log(Tf[n]);  // s3dlint:allow(libm): one log(T)
-        }
-      });
-    }
-    pass.add("chem_source", [&, ns, Tf, rhof, lnTf](const RowRange& r) {
-      int c = 0;
-      while (c < r.count) {
-        if (scur < skipN &&
-            (*skip)[scur] == r.n0 + static_cast<std::size_t>(c)) {
-          ++scur;
-          ++c;
-          continue;
-        }
-        const int run0 = c;
-        while (c < r.count &&
-               !(scur < skipN &&
-                 (*skip)[scur] == r.n0 + static_cast<std::size_t>(c)))
-          ++c;
-        const int len = c - run0;
-        bchem_.production_rates_fields(
-            len, r.n0 + static_cast<std::size_t>(run0), Tf, lnTf, rhof,
-            Yptr_.data(), row_wdot_.data());
-        for (int cc = 0; cc < len; ++cc)
-          chem_apply_wdot_cell(
-              dUdt, r.n0 + static_cast<std::size_t>(run0 + cc),
-              row_wdot_.data() + static_cast<std::size_t>(cc) * ns,
-              Wvec_.data(), ns);
+  const double* Tf = prim_.T.data();
+  const double* rhof = prim_.rho.data();
+  double* lnTf = lnT_f_.data();
+  FusedPointwise pass("pass.chem_source");
+  if (!cfg_.include_viscous) {
+    // No transport pass ran this evaluation, so stage ln T here.
+    pass.add("lnT", [Tf, lnTf](const RowRange& r) {
+      for (int c = 0; c < r.count; ++c) {
+        const std::size_t n = r.n0 + static_cast<std::size_t>(c);
+        lnTf[n] = std::log(Tf[n]);  // s3dlint:allow(libm): one log(T)
       }
     });
-    pass.run_interior(l_, &pass_stats_);
-  } else {
-    double c[chem::kMaxSpecies], wdot[chem::kMaxSpecies];
-    for_interior(l_, [&](std::size_t n, int, int, int) {
-      if (scur < skipN && (*skip)[scur] == n) {
-        ++scur;
-        return;
-      }
-      const double rho = prim_.rho.data()[n];
-      const double T = prim_.T.data()[n];
-      for (int s = 0; s < ns; ++s)
-        c[s] = rho * prim_.Y[s].data()[n] / Wvec_[s];
-      mech_->production_rates(T, {c, static_cast<std::size_t>(ns)},
-                              {wdot, static_cast<std::size_t>(ns)});
-      chem_apply_wdot_cell(dUdt, n, wdot, Wvec_.data(), ns);
-    });
-    pass_stats_.count();
   }
+  pass.add("chem_source", [&, ns, Tf, rhof, lnTf](const RowRange& r) {
+    int c = 0;
+    while (c < r.count) {
+      if (scur < skipN &&
+          (*skip)[scur] == r.n0 + static_cast<std::size_t>(c)) {
+        ++scur;
+        ++c;
+        continue;
+      }
+      const int run0 = c;
+      while (c < r.count &&
+             !(scur < skipN &&
+               (*skip)[scur] == r.n0 + static_cast<std::size_t>(c)))
+        ++c;
+      const int len = c - run0;
+      bchem_.production_rates_fields(
+          len, r.n0 + static_cast<std::size_t>(run0), Tf, lnTf, rhof,
+          Yptr_.data(), row_wdot_.data());
+      for (int cc = 0; cc < len; ++cc)
+        chem_apply_wdot_cell(
+            dUdt, r.n0 + static_cast<std::size_t>(run0 + cc),
+            row_wdot_.data() + static_cast<std::size_t>(cc) * ns,
+            Wvec_.data(), ns);
+    }
+  });
+  pass.run_interior(l_, &pass_stats_);
 
   if (dlb_) dlb_->finish_eval(dUdt);
 }
 
-// Fused convective phase: per axis, ONE pointwise pass assembles every
-// conserved variable's flux into flux_bufs_ and ONE batched derivative
-// pass accumulates all the divergences into dUdt. Both paths call the
-// same noinline flux_*_row kernels over the same row extents, so the
-// results are bitwise identical by construction; only the traversal
-// structure changes (2 sweeps per axis instead of 3 * nv).
-void RhsEvaluator::eval_convective_fused(const State& U, State& dUdt) {
+// Convective phase: per axis, ONE pointwise pass assembles every
+// conserved variable's flux into flux_bufs_ (through the noinline
+// flux_*_row kernels) and ONE batched derivative pass accumulates all
+// the divergences into dUdt: 2 sweeps per axis.
+void RhsEvaluator::eval_convective(const State& U, State& dUdt) {
   trace::Span sp_conv("rhs.convective", "solver");
   const int ns = mech_->n_species();
   auto du_all = dUdt.flat();

@@ -83,8 +83,8 @@ class RhsEvaluator {
   const RhsTimers& timers() const { return timers_; }
   void reset_timers() { timers_ = RhsTimers{}; }
 
-  /// Sweep accounting for the pass plan (both paths count, so
-  /// bench_fusion can report sweeps saved by fusion).
+  /// Sweep accounting for the pass plan (sweeps over memory and the
+  /// stages they carry; test_passes pins the per-eval counts).
   const PassStats& pass_stats() const { return pass_stats_; }
   void reset_pass_stats() { pass_stats_.reset(); }
 
@@ -108,10 +108,9 @@ class RhsEvaluator {
   void compute_transport_point(double T, double lnT, double rho, double cp,
                                const double* X, double& mu, double& lam,
                                double* D) const;
-  void eval_diffusive_pointwise();
-  void eval_diffusive_batched();
+  void eval_diffusive();
   void eval_chemistry(State& dUdt);
-  void eval_convective_fused(const State& U, State& dUdt);
+  void eval_convective(const State& U, State& dUdt);
   void apply_nscbc(const State& U, double t, State& dUdt);
   void nscbc_face(const State& U, double t, State& dUdt, int axis, int side);
   void apply_sponges(const State& U, State& dUdt);
@@ -139,19 +138,14 @@ class RhsEvaluator {
   /// evaluation (transport pass, or the chemistry pass when viscous
   /// terms are off) and reused by every consumer of std::log(T).
   GField lnT_f_;
-  GField flux_tmp_, deriv_tmp_;
-  /// Per-variable flux buffers for the fused convective pass (allocated
-  /// only when Config::fusion): one assemble pass writes all nv fluxes,
-  /// one batched divergence pass consumes them.
+  /// Per-variable flux buffers for the convective phase: one assemble
+  /// pass writes all nv fluxes, one batched divergence pass consumes them.
   std::vector<GField> flux_bufs_;
 
   std::vector<double> Le_;       ///< constant Lewis numbers
   double mu_ref_pl_ = 1.8e-5;    ///< power-law reference viscosity
   std::vector<int> active_axes_;
 
-  /// Row-batched kernels engage only on the fused plan: the unfused
-  /// path IS the per-point reference (Config::batching docs).
-  bool use_batching_ = false;
   chem::BatchedChemistry bchem_;
   std::unique_ptr<ChemDlb> dlb_;
   std::vector<double> Wvec_;         ///< species molecular weights

@@ -169,7 +169,6 @@ void Solver::initialize(const InitFn& init) {
 // pass to fold into and the sentinel keeps its separate sweep. Only
 // Config enters the decision, so every rank folds identically.
 Solver::TripFold Solver::tripwire_fold(long next_step) const {
-  if (!cfg_.fusion) return TripFold::none;
   const Layout& l = rhs_->layout();
   const bool any_axis = l.active(0) || l.active(1) || l.active(2);
   if (cfg_.filter_interval > 0 && next_step % cfg_.filter_interval == 0 &&
@@ -438,7 +437,10 @@ void Solver::run(int nsteps, const std::function<void(int)>& monitor,
 }
 
 const Prim& Solver::primitives() {
-  prim_from_conserved(*cfg_.mech, U_, rhs_->prim());
+  // Same Y repair as the RHS and the health scan, so analysis sees the
+  // mass fractions the solver stepped with.
+  prim_from_conserved(*cfg_.mech, U_, rhs_->prim(),
+                      PrimOptions{.renormalize_y = cfg_.y_renormalize});
   const int ns = cfg_.mech->n_species();
   std::vector<double*> fields = {
       rhs_->prim().rho.data(), rhs_->prim().u.data(), rhs_->prim().v.data(),

@@ -109,8 +109,8 @@ class Solver {
   /// Arm the conserved-state tripwires to ride the final fused pass of
   /// the NEXT step() (DESIGN.md §10): the filter's commit pass when the
   /// filter runs that step, else the final RK axpy pass. Returns false
-  /// when no fused pass is last (fusion off, or an inflow face mutates
-  /// the state after the last pass) — the caller keeps its separate
+  /// when no fused pass is last (an inflow face mutates the state after
+  /// the last pass on an unfiltered step) — the caller keeps its separate
   /// sweep then. The decision derives only from Config, so every rank
   /// of a decomposition folds identically.
   bool arm_tripwires(const TripwireParams& p);

@@ -4,15 +4,16 @@
 // invariance checks).
 //
 // Each case runs a tiny, fully seeded configuration for a few steps on
-// 1 rank and on a multi-rank decomposition, in BOTH execution modes
-// (Config::fusion on and off), then:
+// 1 rank and on a multi-rank decomposition, then:
 //   - asserts the decompositions produce bitwise-identical interior
 //     fields (rank-count invariance inside the harness itself),
-//   - asserts the fused pass plan reproduces the unfused reference path
-//     bit for bit (the DESIGN.md §10 fusion contract),
 //   - compares per-variable FNV-1a checksums, the final time (hexfloat,
-//     bitwise), and both modes' trace call-count summaries against the
-//     committed record in tests/golden/data/.
+//     bitwise), and the trace call-count summary against the committed
+//     record in tests/golden/data/.
+//
+// The checksums and times were recorded from the retired unfused,
+// per-point RHS plan (DESIGN.md §10); the fused+batched plan reproduces
+// them bit for bit, so they keep guarding that arithmetic.
 //
 // Refresh intentionally with S3D_GOLDEN_REFRESH=1 and commit the diff
 // (procedure in DESIGN.md "Observability").
@@ -45,8 +46,7 @@ struct GoldenRecord {
   std::string t_final_hex;               ///< hexfloat of the final time
   long steps = 0;                        ///< steps taken
   std::vector<std::string> checksums;    ///< per-variable FNV-1a (hex64)
-  std::map<std::string, long> spans;     ///< unfused kernel -> total calls
-  std::map<std::string, long> spans_fused;  ///< fused-mode span counts
+  std::map<std::string, long> spans;     ///< kernel -> total calls
 };
 
 inline std::string hexfloat(double v) {
@@ -56,16 +56,14 @@ inline std::string hexfloat(double v) {
 }
 
 // Run the case on a (px, py, pz) decomposition with tracing on and
-// collect everything the golden record covers. `fusion` selects the
-// execution mode regardless of the build's S3D_FUSION default.
+// collect everything the golden record covers.
 inline GoldenRecord run_case(const sv::CaseSetup& setup, int nsteps, int px,
-                             int py, int pz, bool fusion) {
+                             int py, int pz) {
   const int NX = setup.cfg.x.n, NY = setup.cfg.y.n, NZ = setup.cfg.z.n;
   const int nv = sv::n_conserved(setup.cfg.mech->n_species());
   std::vector<double> global(static_cast<std::size_t>(nv) * NX * NY * NZ);
   GoldenRecord rec;
-  sv::Config cfg = setup.cfg;
-  cfg.fusion = fusion;
+  const sv::Config& cfg = setup.cfg;
 
   trace::clear();
   trace::set_enabled(true);
@@ -119,8 +117,6 @@ inline void save(const std::string& name, const GoldenRecord& rec) {
     f << "checksum " << v << " " << rec.checksums[v] << "\n";
   for (const auto& [kname, calls] : rec.spans)
     f << "span " << kname << " " << calls << "\n";
-  for (const auto& [kname, calls] : rec.spans_fused)
-    f << "span_fused " << kname << " " << calls << "\n";
 }
 
 inline bool load(const std::string& name, GoldenRecord& rec) {
@@ -147,11 +143,6 @@ inline bool load(const std::string& name, GoldenRecord& rec) {
       long calls;
       ss >> kname >> calls;
       rec.spans[kname] = calls;
-    } else if (key == "span_fused") {
-      std::string kname;
-      long calls;
-      ss >> kname >> calls;
-      rec.spans_fused[kname] = calls;
     }
   }
   return true;
@@ -161,40 +152,25 @@ inline void run_golden_case(const std::string& name,
                             const sv::CaseSetup& setup, int nsteps,
                             bool reacting,
                             std::array<int, 3> decomp = {4, 2, 1}) {
-  const auto serial = run_case(setup, nsteps, 1, 1, 1, /*fusion=*/false);
-  const auto parallel = run_case(setup, nsteps, decomp[0], decomp[1],
-                                 decomp[2], /*fusion=*/false);
-  const auto serial_f = run_case(setup, nsteps, 1, 1, 1, /*fusion=*/true);
-  const auto parallel_f = run_case(setup, nsteps, decomp[0], decomp[1],
-                                   decomp[2], /*fusion=*/true);
+  const auto serial = run_case(setup, nsteps, 1, 1, 1);
+  const auto parallel =
+      run_case(setup, nsteps, decomp[0], decomp[1], decomp[2]);
 
   // Rank-count invariance is part of the harness contract: 1-rank and
   // multi-rank runs must agree bitwise before either is compared to disk.
   ASSERT_EQ(parallel.checksums, serial.checksums)
-      << name << ": 1-rank and multi-rank unfused fields diverged";
-  ASSERT_EQ(parallel_f.checksums, serial_f.checksums)
-      << name << ": 1-rank and multi-rank fused fields diverged";
+      << name << ": 1-rank and multi-rank fields diverged";
   EXPECT_EQ(parallel.t_final_hex, serial.t_final_hex);
   EXPECT_EQ(parallel.steps, serial.steps);
 
-  // The fusion contract (DESIGN.md §10): the fused pass plan changes
-  // traversal structure only, never per-cell arithmetic.
-  ASSERT_EQ(serial_f.checksums, serial.checksums)
-      << name << ": fused and unfused fields diverged";
-  EXPECT_EQ(serial_f.t_final_hex, serial.t_final_hex)
-      << name << ": fused and unfused final times diverged";
-
 #ifndef S3D_TRACE_DISABLED
   // The instrumentation itself is under regression: the expected
-  // subsystems must have produced spans in both modes.
+  // subsystems and passes must have produced spans.
   for (const char* required :
-       {"solver.step", "solver.rk_stage", "rhs.eval", "halo.exchange"})
+       {"solver.step", "solver.rk_stage", "rhs.eval", "halo.exchange",
+        "pass.grad", "pass.flux_assemble", "pass.flux_div"})
     EXPECT_TRUE(parallel.spans.count(required))
         << name << ": no trace spans from " << required;
-  for (const char* required : {"pass.grad", "pass.flux_assemble",
-                               "pass.flux_div"})
-    EXPECT_TRUE(parallel_f.spans.count(required))
-        << name << ": fused mode ran without " << required;
   if (reacting) {
     EXPECT_TRUE(parallel.spans.count("chem.reaction_rate"))
         << name << ": chemistry ran untraced";
@@ -202,18 +178,16 @@ inline void run_golden_case(const std::string& name,
 #endif
 
   if (std::getenv("S3D_GOLDEN_REFRESH") != nullptr) {
-    GoldenRecord rec = serial;
-    rec.spans_fused = serial_f.spans;
-    save(name, rec);
+    save(name, serial);
     GTEST_SKIP() << "golden record refreshed: " << golden_path(name);
   }
 
 #ifdef S3D_SANITIZER_LANE
   // The committed record pins the *default* build's FP codegen;
   // sanitizer instrumentation perturbs instruction selection enough to
-  // change the trajectory's bits. The within-build contracts above
-  // (rank invariance, fused==unfused) already ran at full strength —
-  // only the cross-build disk comparison is skipped.
+  // change the trajectory's bits. The within-build rank-invariance
+  // contract above already ran at full strength — only the cross-build
+  // disk comparison is skipped.
   GTEST_SKIP() << "golden records pin the default build's FP codegen";
 #endif
 
@@ -230,9 +204,7 @@ inline void run_golden_case(const std::string& name,
         << name << ": field checksum drifted for variable " << v;
 #ifndef S3D_TRACE_DISABLED
   EXPECT_EQ(serial.spans, gold.spans)
-      << name << ": unfused trace summary drifted (kernel set or counts)";
-  EXPECT_EQ(serial_f.spans, gold.spans_fused)
-      << name << ": fused trace summary drifted (kernel set or counts)";
+      << name << ": trace summary drifted (kernel set or counts)";
 #endif
 }
 

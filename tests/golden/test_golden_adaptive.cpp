@@ -11,9 +11,6 @@
 // BITWISE IDENTICAL across 1-, 2- and 8-rank decompositions, which this
 // test asserts, alongside a committed record in data/ pinning the
 // recovery structure (rung counts, final dt scale, final time).
-//
-// Builds with -DS3D_ADAPTIVE=OFF compile the ladder away; the test
-// skips there (the build-noadapt lane proves the legacy goldens hold).
 
 #include <gtest/gtest.h>
 
@@ -182,9 +179,6 @@ bool load(AdaptiveGolden& rec) {
 }  // namespace
 
 TEST(GoldenAdaptive, LocalizedRecoveryBitwiseAcrossDecompositions) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "ladder compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   const auto serial = run_case(1, 1, 1);
   const auto two = run_case(2, 1, 1);
   const auto eight = run_case(2, 2, 2);

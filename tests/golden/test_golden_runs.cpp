@@ -1,7 +1,7 @@
 // Golden-run regression harness for the direct case factories.
 //
-// The shared machinery (record format, 1-vs-8-rank and fused-vs-unfused
-// bitwise pins, trace-summary comparison, S3D_GOLDEN_REFRESH) lives in
+// The shared machinery (record format, 1-vs-8-rank bitwise pin,
+// trace-summary comparison, S3D_GOLDEN_REFRESH) lives in
 // golden_common.hpp; this file only selects the cases. Any drift —
 // numerics, chemistry, halo exchange, RNG, instrumentation coverage —
 // fails the test.

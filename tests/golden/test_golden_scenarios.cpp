@@ -2,8 +2,7 @@
 // (DESIGN.md §15), built THROUGH ScenarioRegistry::build rather than the
 // case factories — so the registry's typed-override path (string parse,
 // range check, Config::validate) is itself under bitwise regression, on
-// top of the usual 1-vs-8-rank and fused-vs-unfused pins from
-// golden_common.hpp.
+// top of the usual 1-vs-8-rank pin from golden_common.hpp.
 //
 // counterflow_ignition: both x faces NSCBC (non-periodic), y periodic;
 // 32x24 over {4,2,1} keeps every local extent above the ghost width.

@@ -16,8 +16,7 @@ foreach(t ${test_resilience_TESTS} ${test_ckpt_store_TESTS})
 endforeach()
 
 # test_passes carries the health label alongside passes: the in-pass
-# tripwires are part of the health contract, and the fusion-off verify
-# lane runs the suite with the golden/health tiers.
+# tripwires are part of the health contract.
 foreach(t ${test_passes_TESTS})
   set_tests_properties("${t}" PROPERTIES LABELS "passes;health")
 endforeach()

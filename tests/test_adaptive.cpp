@@ -3,11 +3,6 @@
 // no-perturbation guarantee, proactive stiff-region subcycling under
 // run_guarded, the breach escalation ladder rung by rung, and the
 // post-recovery dt restore (DESIGN.md §13).
-//
-// Builds with -DS3D_ADAPTIVE=OFF compile the controller away; the tests
-// that exercise the ladder skip themselves there (the build-noadapt
-// verify lane runs this suite to prove exactly that the legacy policy
-// is what remains).
 
 #include <gtest/gtest.h>
 
@@ -256,9 +251,6 @@ TEST(AdaptiveGuard, CleanRunAtDefaultsMatchesLegacyPath) {
 }
 
 TEST(AdaptiveGuard, TightToleranceDrivesProactiveSubcycling) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "controller compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   sv::Solver s(small_cfg());
   s.initialize(wavy_init);
   sv::GuardOptions opts;
@@ -277,9 +269,6 @@ TEST(AdaptiveGuard, TightToleranceDrivesProactiveSubcycling) {
 }
 
 TEST(AdaptiveGuard, ProactiveSubcyclingIsDeterministic) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "controller compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   const auto run = [] {
     sv::Solver s(small_cfg());
     s.initialize(wavy_init);
@@ -299,9 +288,6 @@ TEST(AdaptiveGuard, ProactiveSubcyclingIsDeterministic) {
 // The escalation ladder, rung by rung.
 
 TEST(Ladder, Rung1SubcyclesBreachingBlockWithoutGlobalRollback) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "ladder compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   FaultSession fs_;
   fault::arm({.site = "solver.health",
               .kind = fault::Kind::corrupt,
@@ -328,9 +314,6 @@ TEST(Ladder, Rung1SubcyclesBreachingBlockWithoutGlobalRollback) {
 }
 
 TEST(Ladder, ExhaustedSubcycleBudgetWidensToRung2) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "ladder compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   FaultSession fs_;
   fault::arm({.site = "solver.health",
               .kind = fault::Kind::corrupt,
@@ -353,9 +336,6 @@ TEST(Ladder, ExhaustedSubcycleBudgetWidensToRung2) {
 }
 
 TEST(Ladder, ExhaustedLocalBudgetsEscalateToGlobalRollback) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "ladder compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   FaultSession fs_;
   fault::arm({.site = "solver.health",
               .kind = fault::Kind::corrupt,
@@ -382,9 +362,6 @@ TEST(Ladder, ExhaustedLocalBudgetsEscalateToGlobalRollback) {
 }
 
 TEST(Ladder, DtScaleRestoredAfterCleanStreak) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "ladder compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   // Satellite fix: after a global-rung halving, a configured streak of
   // clean scans restores the controller-chosen dt instead of dragging
   // the halved step to the end of the run.
@@ -410,9 +387,6 @@ TEST(Ladder, DtScaleRestoredAfterCleanStreak) {
 }
 
 TEST(Ladder, LocalizedRecoveryIsDeterministic) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "ladder compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   const auto run = [] {
     FaultSession fs_;
     fault::arm({.site = "solver.health",
@@ -433,9 +407,6 @@ TEST(Ladder, LocalizedRecoveryIsDeterministic) {
 }
 
 TEST(Ladder, CollectiveLadderAgreesAcrossRanks) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "ladder compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   FaultSession fs_;
   // Rank 0 alone reports the injected breach (global cell (0,0,0) ->
   // block 0); the ladder must take the identical localized action on
@@ -467,9 +438,6 @@ TEST(Ladder, CollectiveLadderAgreesAcrossRanks) {
 }
 
 TEST(Ladder, GaugesAndCountersTraced) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "ladder compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   trace::clear();
   trace::set_enabled(true);
   {

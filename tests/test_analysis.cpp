@@ -297,9 +297,6 @@ TEST(AnalysisSidecar, Rung3GlobalRollbackNeverDoubleCounts) {
 }
 
 TEST(AnalysisSidecar, Rung1LocalizedRecoveryKeepsAccumulators) {
-#ifdef S3D_ADAPTIVE_OFF
-  GTEST_SKIP() << "ladder compiled out (S3D_ADAPTIVE=OFF)";
-#endif
   FaultSession fs_;
   fault::arm({.site = "solver.health",
               .kind = fault::Kind::corrupt,

@@ -192,6 +192,29 @@ TEST(PrimBoundary, RenormalizeKnobKeepsUnitSum) {
     EXPECT_GE(Y.data()[l.at(5, 2, 0)], 0.0);
 }
 
+TEST(PrimBoundary, SolverPrimitivesHonourRenormalizeKnob) {
+  // Analysis, checkpoint min/max and the benchmark read Y through
+  // Solver::primitives(); with Config::y_renormalize on it must apply the
+  // same repair the RHS stepped with.
+  sv::Config cfg = small_cfg();
+  cfg.y_renormalize = true;
+  sv::Solver s(cfg);
+  s.initialize(wavy_init);
+  const auto& l = s.layout();
+  const std::size_t n = l.at(5, 2, 0);
+  s.state().at(sv::UIndex::Y0, 5, 2, 0) = 1.2 * s.state().at(sv::UIndex::rho,
+                                                             5, 2, 0);
+
+  sv::State dUdt(l, s.state().nv());
+  s.rhs().eval(s.state(), 0.0, dUdt);
+  std::vector<double> rhs_Y;
+  for (const auto& Y : s.rhs().prim().Y) rhs_Y.push_back(Y.data()[n]);
+
+  const sv::Prim& prim = s.primitives();
+  for (std::size_t sp = 0; sp < rhs_Y.size(); ++sp)
+    EXPECT_EQ(prim.Y[sp].data()[n], rhs_Y[sp]) << "species " << sp;
+}
+
 TEST(PrimBoundary, YClipCounterTraced) {
   trace::clear();
   trace::set_enabled(true);

@@ -7,8 +7,7 @@
 //     write / read / subtract triple it replaces,
 //   - FusedPointwise stage permutations against sequential sweeps
 //     (the commuting-stage legality property),
-//   - a full fused RHS evaluation and multi-step solver runs against
-//     the unfused reference path (Config::fusion off),
+//   - the RHS and step plans' sweep and stage counts, pinned exactly,
 //   - the in-pass health tripwire verdict against the sentinel's
 //     separate-sweep scan, including a guarded blow-up recovery run
 //     across 1/2/8-rank decompositions checked against the committed
@@ -254,75 +253,45 @@ TEST(FusedPointwise, StagePermutationsAreBitwiseIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Full fused RHS evaluation against the unfused reference path.
+// Structural counts of the pass plan are hard gates: sweeps over memory
+// and the stages they carry for one RHS evaluation, and the total sweeps
+// of one step (Solver plus RhsEvaluator accounting, perfbench's
+// solver.sweeps_per_step). The pinned values are the fused+batched
+// plan's counts at the commit that retired the unfused and per-point
+// paths; change them only with an intended change to the plan.
 
 namespace {
 
-void expect_eval_bitwise(const sv::CaseSetup& setup, const char* name) {
-  sv::Config on = setup.cfg, off = setup.cfg;
-  on.fusion = true;
-  off.fusion = false;
-  sv::Solver sf(on), su(off);
-  sf.initialize(setup.init);
-  su.initialize(setup.init);
+void expect_pass_counts(const sv::CaseSetup& setup, const char* name,
+                        long eval_sweeps, long eval_stages,
+                        long step_sweeps) {
+  sv::Solver s(setup.cfg);
+  s.initialize(setup.init);
+  const double dt = s.stable_dt();
 
-  const int nv = sf.state().nv();
-  sv::State df(sf.layout(), nv), du(su.layout(), nv);
-  sf.rhs().eval(sf.state(), 0.0, df);
-  su.rhs().eval(su.state(), 0.0, du);
+  sv::State dUdt(s.layout(), s.state().nv());
+  s.rhs().reset_pass_stats();
+  s.rhs().eval(s.state(), 0.0, dUdt);
+  EXPECT_EQ(s.rhs().pass_stats().sweeps, eval_sweeps) << name;
+  EXPECT_EQ(s.rhs().pass_stats().stages, eval_stages) << name;
 
-  const sv::Layout& l = sf.layout();
-  for (int v = 0; v < nv; ++v)
-    EXPECT_TRUE(bitwise_equal(df.var(v), du.var(v), l.total(), name))
-        << "dUdt variable " << v;
-
-  // Fusion strictly reduces sweeps while carrying the same stage count
-  // through the gradient and convective phases.
-  EXPECT_LT(sf.rhs().pass_stats().sweeps, su.rhs().pass_stats().sweeps)
-      << name << ": fused path did not reduce sweep count";
-}
-
-void expect_steps_bitwise(const sv::CaseSetup& setup, int nsteps,
-                          const char* name) {
-  sv::Config on = setup.cfg, off = setup.cfg;
-  on.fusion = true;
-  off.fusion = false;
-  sv::Solver sf(on), su(off);
-  sf.initialize(setup.init);
-  su.initialize(setup.init);
-  sf.run(nsteps);
-  su.run(nsteps);
-  ASSERT_EQ(sf.steps_taken(), su.steps_taken());
-  ASSERT_EQ(hexfloat(sf.time()), hexfloat(su.time()));
-  const sv::Layout& l = sf.layout();
-  for (int v = 0; v < sf.state().nv(); ++v)
-    EXPECT_TRUE(bitwise_equal(sf.state().var(v), su.state().var(v),
-                              l.total(), name))
-        << "U variable " << v;
+  s.reset_pass_stats();
+  s.rhs().reset_pass_stats();
+  s.step(dt);
+  EXPECT_EQ(s.pass_stats().sweeps + s.rhs().pass_stats().sweeps,
+            step_sweeps)
+      << name;
 }
 
 }  // namespace
 
-TEST(FusedRhs, EvalBitwisePressureWave3D) {
-  expect_eval_bitwise(sv::pressure_wave_case(12), "pressure_wave eval");
-}
-
-TEST(FusedRhs, EvalBitwiseLiftedJet2D) {
+TEST(PassPlan, SweepCountsArePinned) {
+  expect_pass_counts(sv::pressure_wave_case(12), "pressure_wave 3-D", 12, 69,
+                     102);
   sv::LiftedJetParams p;
   p.nx = 24;
   p.ny = 16;
-  expect_eval_bitwise(sv::lifted_jet_case(p), "lifted_jet eval");
-}
-
-TEST(FusedRhs, StepsBitwisePressureWave3D) {
-  expect_steps_bitwise(sv::pressure_wave_case(12), 3, "pressure_wave steps");
-}
-
-TEST(FusedRhs, StepsBitwiseLiftedJet2D) {
-  sv::LiftedJetParams p;
-  p.nx = 24;
-  p.ny = 16;
-  expect_steps_bitwise(sv::lifted_jet_case(p), 3, "lifted_jet steps");
+  expect_pass_counts(sv::lifted_jet_case(p), "lifted_jet 2-D", 10, 96, 108);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,13 +302,12 @@ TEST(FusedRhs, StepsBitwiseLiftedJet2D) {
 TEST(InPassTripwires, VerdictMatchesSeparateSweep) {
   for (const int filter_interval : {1, 0}) {  // filter fold / RK fold
     auto setup = sv::pressure_wave_case(12);
-    setup.cfg.fusion = true;
     setup.cfg.filter_interval = filter_interval;
 
     sv::HealthConfig hc;
     hc.check_dt = false;
 
-    // Two identical fused solvers; only the scan mode differs.
+    // Two identical solvers; only the scan mode differs.
     sv::Solver sa(setup.cfg), sb(setup.cfg);
     sa.initialize(setup.init);
     sb.initialize(setup.init);
@@ -381,7 +349,6 @@ TEST(InPassTripwires, InflowWithoutFilterCannotFold) {
   p.nx = 24;
   p.ny = 16;
   auto setup = sv::lifted_jet_case(p);
-  setup.cfg.fusion = true;
   setup.cfg.filter_interval = 0;
   sv::Solver s(setup.cfg);
   s.initialize(setup.init);
@@ -400,9 +367,9 @@ TEST(InPassTripwires, InflowWithoutFilterCannotFold) {
 }
 
 // ---------------------------------------------------------------------------
-// Guarded blow-up recovery: fused and unfused runs, serial and decomposed
-// (1/2/8 ranks), agree bitwise on the recovered final state — the same
-// scenario the committed golden record pins.
+// Guarded blow-up recovery: serial and decomposed (1/2/8 ranks) runs
+// agree bitwise on the recovered final state — the same scenario the
+// committed golden record pins.
 
 namespace {
 
@@ -415,13 +382,12 @@ struct GuardedResult {
   int rollbacks = 0;
 };
 
-GuardedResult run_guarded_case(bool fusion, int px, int py, int pz) {
+GuardedResult run_guarded_case(int px, int py, int pz) {
   constexpr int kN = 16;
   constexpr int kSteps = 4;
   constexpr double kDtFactor = 20.0;
 
-  auto setup = sv::pressure_wave_case(kN);
-  setup.cfg.fusion = fusion;
+  const auto setup = sv::pressure_wave_case(kN);
   const int nv = sv::n_conserved(setup.cfg.mech->n_species());
   std::vector<double> global(static_cast<std::size_t>(nv) * kN * kN * kN);
   GuardedResult res;
@@ -468,27 +434,25 @@ GuardedResult run_guarded_case(bool fusion, int px, int py, int pz) {
 
 }  // namespace
 
-TEST(GuardedFusion, BlowupRecoveryFusedMatchesUnfusedAcrossRanks) {
-  const auto ref = run_guarded_case(/*fusion=*/false, 1, 1, 1);
+TEST(GuardedFusion, BlowupRecoveryMatchesAcrossRanks) {
+  const auto ref = run_guarded_case(1, 1, 1);
   ASSERT_GT(ref.rollbacks, 0) << "case must actually breach and recover";
 
   struct Decomp {
-    bool fusion;
     int px, py, pz;
   };
-  for (const Decomp d : {Decomp{true, 1, 1, 1}, Decomp{true, 2, 1, 1},
-                         Decomp{true, 2, 2, 2}, Decomp{false, 2, 2, 2}}) {
-    const auto got = run_guarded_case(d.fusion, d.px, d.py, d.pz);
+  for (const Decomp d : {Decomp{2, 1, 1}, Decomp{2, 2, 2}}) {
+    const auto got = run_guarded_case(d.px, d.py, d.pz);
     EXPECT_EQ(got.checksums, ref.checksums)
-        << (d.fusion ? "fused" : "unfused") << " " << d.px << "x" << d.py
-        << "x" << d.pz << " diverged from the serial unfused reference";
+        << d.px << "x" << d.py << "x" << d.pz
+        << " diverged from the serial reference";
     EXPECT_EQ(got.steps, ref.steps);
     EXPECT_EQ(got.rollbacks, ref.rollbacks);
   }
 }
 
 // The cross-build half of the scenario, split out so the sanitizer lanes
-// can run the (within-build) fusion/decomposition contract above at full
+// can run the (within-build) decomposition contract above at full
 // strength. Root cause of the split: the committed golden record pins the
 // *default* build's FP codegen, and sanitizer instrumentation perturbs
 // instruction selection/contraction enough to change the recovered
@@ -501,7 +465,7 @@ TEST(GuardedFusion, BlowupRecoveryMatchesGoldenRecord) {
   GTEST_SKIP() << "golden records pin the default build's FP codegen; "
                   "sanitizer instrumentation changes it (see comment)";
 #endif
-  const auto ref = run_guarded_case(/*fusion=*/false, 1, 1, 1);
+  const auto ref = run_guarded_case(1, 1, 1);
   ASSERT_GT(ref.rollbacks, 0) << "case must actually breach and recover";
 
   // The committed golden record (recorded from the unfused seed) pins the

@@ -37,10 +37,11 @@ for lane in "${lanes[@]}"; do
       echo "werror: clean"
       ;;
     asan)
-      # AddressSanitizer + LeakSanitizer over the unit-ish tiers.
+      # AddressSanitizer + LeakSanitizer over the unit-ish tiers, plus
+      # passes: the RHS plan and the in-pass tripwires.
       build asan -DS3D_SANITIZE=address -DS3D_WERROR=ON
       (cd "$dir" && ASAN_OPTIONS=detect_leaks=1 \
-        ctest -L "resilience|equivalence|checkpoint|adaptive|lint|plugin" \
+        ctest -L "resilience|equivalence|checkpoint|adaptive|lint|plugin|passes" \
               --output-on-failure)
       ;;
     ubsan)
