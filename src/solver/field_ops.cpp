@@ -22,17 +22,16 @@ FieldOps::FieldOps(const Layout& l, const grid::Mesh& mesh,
   }
 }
 
-// Iterate over all lines of the box along `axis`; fn(base_flat_index).
-// Lines run over the *interior* range of `axis` but all ghosted positions
-// of the orthogonal axes are visited, so derived fields are also valid in
-// the (already-exchanged) ghost shells of the other directions.
+// Iterate over the interior lines of the box along `axis`;
+// fn(base_flat_index). A line runs over the interior range of `axis` at
+// one interior orthogonal position: ghost-shell outputs are never read
+// (the flux divergence consumes only interior lines, and the diffusive
+// fluxes reach other ranks' ghosts through the halo exchange).
 template <typename LineFn>
 void FieldOps::for_each_line(int axis, LineFn&& fn) const {
   const int a1 = (axis + 1) % 3, a2 = (axis + 2) % 3;
-  const int n1 = l_.n(a1), g1 = l_.g(a1);
-  const int n2 = l_.n(a2), g2 = l_.g(a2);
-  for (int q = -g2; q < n2 + g2; ++q) {
-    for (int r = -g1; r < n1 + g1; ++r) {
+  for (int q = 0; q < l_.n(a2); ++q) {
+    for (int r = 0; r < l_.n(a1); ++r) {
       int ijk[3] = {0, 0, 0};
       ijk[a1] = r;
       ijk[a2] = q;

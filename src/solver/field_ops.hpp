@@ -26,13 +26,16 @@ class FieldOps {
   const Layout& layout() const { return l_; }
   const GhostFlags& ghosts() const { return ghosts_; }
 
-  /// out(interior) = d f / d x_axis. Inactive axes produce zeros.
+  /// out(interior) = d f / d x_axis; reads f's `axis` ghosts on the sides
+  /// flagged in ghosts(), and leaves out's ghost cells untouched. An
+  /// inactive axis zeroes all of out.
   void deriv(const GField& f, int axis, GField& out) const {
     deriv(f.data(), axis, out.data(), out.size());
   }
   void deriv(const double* f, int axis, double* out, std::size_t out_size) const;
 
-  /// Filter f along `axis` into `out` (interior only).
+  /// Filter f along `axis` into `out` (interior only; reads f's `axis`
+  /// ghosts like deriv()).
   void filter_axis(const GField& f, int axis, double alpha,
                    GField& out) const {
     filter_axis(f.data(), axis, alpha, out.data());

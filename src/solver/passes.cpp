@@ -7,15 +7,6 @@
 
 namespace s3d::solver {
 
-namespace {
-
-/// Unit-stride tile width for batched lines along non-x axes: the tile's
-/// cache lines stay resident while every batched field's lines over it
-/// are evaluated.
-constexpr int kTileX = 32;
-
-}  // namespace
-
 template <bool Fused>
 void FusedPointwise::run_rows(const Layout& l, int ilo, int ihi, int jlo,
                               int jhi, int klo, int khi,
@@ -49,29 +40,18 @@ void FusedPointwise::run_segments(std::span<const RowRange> segs,
     for (const Stage& s : stages_) s.fn(r);
 }
 
-void FusedPointwise::run_valid(const Layout& l, const GhostFlags& gh,
-                               PassStats* stats) const {
-  run_rows<true>(l, gh.lo[0] ? -l.gx : 0, l.nx + (gh.hi[0] ? l.gx : 0),
-                 gh.lo[1] ? -l.gy : 0, l.ny + (gh.hi[1] ? l.gy : 0),
-                 gh.lo[2] ? -l.gz : 0, l.nz + (gh.hi[2] ? l.gz : 0), stats);
-}
-
-void FusedPointwise::run_full(const Layout& l, PassStats* stats) const {
-  run_rows<true>(l, -l.gx, l.nx + l.gx, -l.gy, l.ny + l.gy, -l.gz,
-                 l.nz + l.gz, stats);
+void FusedPointwise::run_with_axis_ghosts(const Layout& l, int axis,
+                                          const GhostFlags& gh,
+                                          PassStats* stats) const {
+  int lo[3] = {0, 0, 0}, hi[3] = {l.nx, l.ny, l.nz};
+  if (gh.lo[axis]) lo[axis] = -l.g(axis);
+  if (gh.hi[axis]) hi[axis] += l.g(axis);
+  run_rows<true>(l, lo[0], hi[0], lo[1], hi[1], lo[2], hi[2], stats);
 }
 
 void FusedPointwise::run_interior_sequential(const Layout& l,
                                              PassStats* stats) const {
   run_rows<false>(l, 0, l.nx, 0, l.ny, 0, l.nz, stats);
-}
-
-void FusedPointwise::run_valid_sequential(const Layout& l,
-                                          const GhostFlags& gh,
-                                          PassStats* stats) const {
-  run_rows<false>(l, gh.lo[0] ? -l.gx : 0, l.nx + (gh.hi[0] ? l.gx : 0),
-                  gh.lo[1] ? -l.gy : 0, l.ny + (gh.hi[1] ? l.gy : 0),
-                  gh.lo[2] ? -l.gz : 0, l.nz + (gh.hi[2] ? l.gz : 0), stats);
 }
 
 void batched_deriv(const FieldOps& ops, int axis,
@@ -104,35 +84,19 @@ void batched_deriv(const FieldOps& ops, int axis,
     }
   };
 
-  // Assign mode mirrors the unfused operator: outputs are produced for
-  // every ghosted orthogonal position. Accumulate mode is the fused
-  // divergence: only interior lines exist (ghost entries of the target
-  // are never touched, matching the interior-only subtraction it
-  // replaces).
+  // Interior lines only, in both modes (FieldOps::deriv's extents).
   if (axis == 0) {
-    const int jlo = accumulate ? 0 : -l.gy, jhi = accumulate ? l.ny : l.ny + l.gy;
-    const int klo = accumulate ? 0 : -l.gz, khi = accumulate ? l.nz : l.nz + l.gz;
-    for (int k = klo; k < khi; ++k)
-      for (int j = jlo; j < jhi; ++j) lines(l.at(0, j, k));
+    for (int k = 0; k < l.nz; ++k)
+      for (int j = 0; j < l.ny; ++j) lines(l.at(0, j, k));
     return;
   }
 
-  // Lines along y or z: tile the unit-stride x range so a tile's cache
-  // lines are reused across the whole field batch before moving on.
-  const int ilo = accumulate ? 0 : -l.gx, ihi = accumulate ? l.nx : l.nx + l.gx;
-  if (axis == 1) {
-    const int klo = accumulate ? 0 : -l.gz, khi = accumulate ? l.nz : l.nz + l.gz;
-    for (int k = klo; k < khi; ++k)
-      for (int i0 = ilo; i0 < ihi; i0 += kTileX)
-        for (int i = i0; i < std::min(i0 + kTileX, ihi); ++i)
-          lines(l.at(i, 0, k));
-  } else {
-    const int jlo = accumulate ? 0 : -l.gy, jhi = accumulate ? l.ny : l.ny + l.gy;
-    for (int j = jlo; j < jhi; ++j)
-      for (int i0 = ilo; i0 < ihi; i0 += kTileX)
-        for (int i = i0; i < std::min(i0 + kTileX, ihi); ++i)
-          lines(l.at(i, j, 0));
-  }
+  // Lines along y or z: x innermost, so neighbouring lines share cache
+  // lines.
+  const int nouter = axis == 1 ? l.nz : l.ny;
+  for (int q = 0; q < nouter; ++q)
+    for (int i = 0; i < l.nx; ++i)
+      lines(axis == 1 ? l.at(i, 0, q) : l.at(i, q, 0));
 }
 
 void TripwireAccum::check_row(const State& U, const TripwireParams& p,

@@ -10,7 +10,7 @@
 //                    traversal (one sweep carrying N stages instead of
 //                    N sweeps carrying one stage each);
 //   batched_deriv    derivatives of many fields along one axis in one
-//                    tiled traversal of the line space, optionally
+//                    traversal of the interior lines, optionally
 //                    accumulating a divergence (out -= df) directly
 //                    into the target with no scratch round-trip;
 //   TripwireAccum    the health sentinel's conserved-state tripwires
@@ -90,17 +90,15 @@ class FusedPointwise {
   /// the full traversals, so a stage cannot tell a masked run from a
   /// full one — same kernels, same per-cell arithmetic.
   void run_segments(std::span<const RowRange> segs, PassStats* stats) const;
-  /// One traversal of interior plus the exchanged ghost shells.
-  void run_valid(const Layout& l, const GhostFlags& gh,
-                 PassStats* stats) const;
-  /// One traversal of the full ghosted box (every row incl. corners).
-  void run_full(const Layout& l, PassStats* stats) const;
+  /// One traversal of the interior extended by `axis`'s ghost layers on
+  /// the sides flagged in `gh` (the cells a divergence along `axis`
+  /// reads).
+  void run_with_axis_ghosts(const Layout& l, int axis, const GhostFlags& gh,
+                            PassStats* stats) const;
 
-  /// Reference shape: one full traversal per stage (the unfused loop
+  /// Reference shape: one interior traversal per stage (the unfused loop
   /// structure); bitwise-identical results for any legal pass.
   void run_interior_sequential(const Layout& l, PassStats* stats) const;
-  void run_valid_sequential(const Layout& l, const GhostFlags& gh,
-                            PassStats* stats) const;
 
  private:
   struct Stage {
@@ -121,17 +119,13 @@ struct DerivTarget {
   double* out = nullptr;      ///< target field (same layout)
 };
 
-/// d/dx_axis of many fields in one tiled traversal of the line space.
-///
-/// `accumulate = false` mirrors FieldOps::deriv field by field: every
-/// line of the box is visited (interior range along `axis`, all ghosted
-/// orthogonal positions) and out = df is assigned. `accumulate = true`
-/// is the fused divergence shape: only interior lines are visited and
-/// out -= df is applied in place, replacing the unfused
-/// write-scratch / read-scratch / subtract triple while staying bitwise
-/// identical to it. Lines along non-unit-stride axes are tiled over the
-/// unit-stride x range so the working set of a tile stays cache
-/// resident across the batched fields.
+/// d/dx_axis of many fields in one traversal of the interior lines (the
+/// interior range along `axis` at every interior orthogonal position,
+/// FieldOps::deriv's extents); ghost cells of the targets are never
+/// written. `accumulate = false` mirrors FieldOps::deriv field by field
+/// and assigns out = df. `accumulate = true` is the fused divergence
+/// shape: out -= df in place, replacing the unfused write-scratch /
+/// read-scratch / subtract triple while staying bitwise identical to it.
 void batched_deriv(const FieldOps& ops, int axis,
                    std::span<const DerivTarget> fields, bool accumulate,
                    PassStats* stats);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "chem/mixing.hpp"
 #include "solver/dt_control.hpp"
@@ -191,29 +192,29 @@ RhsEvaluator::RhsEvaluator(const Config& cfg, const grid::Mesh& mesh,
   const int ns = mech_->n_species();
 
   prim_.allocate(l_, ns);
-  // Benign defaults in never-written ghost corners so pointwise math over
-  // stale cells cannot produce NaN/Inf that would slow everything down.
-  prim_.rho.fill(1.0);
-  prim_.p.fill(cfg_.p_ref);
-  prim_.Wbar.fill(28.0);
 
+  // Work fields start as quiet NaN: every pass reads only cells an earlier
+  // pass (or a halo exchange) wrote this evaluation, so a read of a
+  // never-written cell carries the NaN into the interior and fails the
+  // bitwise tests loudly (test_ghost_poison).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   for (int a = 0; a < 3; ++a) {
     for (int b = 0; b < 3; ++b) {
-      dudx_[a][b] = GField(l_);
-      tau_[a][b] = GField(l_);
+      dudx_[a][b] = GField(l_, nan);
+      tau_[a][b] = GField(l_, nan);
     }
-    gradW_[a] = GField(l_);
-    gradT_[a] = GField(l_);
-    q_[a] = GField(l_);
+    gradW_[a] = GField(l_, nan);
+    gradT_[a] = GField(l_, nan);
+    q_[a] = GField(l_, nan);
   }
   J_.resize(ns);
   for (int s = 0; s < ns; ++s)
-    for (int a = 0; a < 3; ++a) J_[s][a] = GField(l_);
-  mu_f_ = GField(l_, 1.8e-5);
-  lam_f_ = GField(l_, 0.026);
-  lnT_f_ = GField(l_);
+    for (int a = 0; a < 3; ++a) J_[s][a] = GField(l_, nan);
+  mu_f_ = GField(l_, nan);
+  lam_f_ = GField(l_, nan);
+  lnT_f_ = GField(l_, nan);
   flux_bufs_.resize(n_conserved(ns));
-  for (auto& f : flux_bufs_) f = GField(l_);
+  for (auto& f : flux_bufs_) f = GField(l_, nan);
 
   for (int a = 0; a < 3; ++a)
     if (l_.active(a)) active_axes_.push_back(a);
@@ -357,7 +358,7 @@ void RhsEvaluator::eval(const State& U, double t, State& dUdt) {
     phase.reset();
     {
       // One batched pass per axis: all 5 + ns gradient fields share each
-      // tiled traversal of the line space.
+      // traversal of the interior lines.
       trace::Span sp("pass.grad", "solver");
       std::vector<DerivTarget> targets;
       targets.reserve(5 + static_cast<std::size_t>(ns));
@@ -383,21 +384,18 @@ void RhsEvaluator::eval(const State& U, double t, State& dUdt) {
     eval_diffusive();
     timers_.diffusive_flux += phase.seconds();
 
-    // ---- 5. halo exchange of diffusive fluxes ----
+    // ---- 5. halo exchange of diffusive fluxes: along each axis b only
+    //         what the divergence along b reads (tau[a][b], q_b, and
+    //         J_{s,b} of the ns-1 transported species) ----
     phase.reset();
     {
-      std::vector<double*> fields;
-      for (int a : active_axes_) {
-        for (int b : active_axes_)
-          if (b >= a) fields.push_back(tau_[a][b].data());
-        fields.push_back(q_[a].data());
-        for (int s = 0; s < ns; ++s) fields.push_back(J_[s][a].data());
+      Halo::AxisFields fields;
+      for (int b : active_axes_) {
+        for (int a : active_axes_) fields[b].push_back(tau_[a][b].data());
+        fields[b].push_back(q_[b].data());
+        for (int s = 0; s < ns - 1; ++s) fields[b].push_back(J_[s][b].data());
       }
       halo_.exchange(fields);
-      // Symmetric lower triangle mirrors the exchanged upper triangle.
-      for (int a : active_axes_)
-        for (int b : active_axes_)
-          if (b < a) tau_[a][b] = tau_[b][a];
     }
     timers_.halo += phase.seconds();
   }
@@ -548,15 +546,16 @@ void RhsEvaluator::eval_chemistry(State& dUdt) {
   if (dlb_) dlb_->finish_eval(dUdt);
 }
 
-// Convective phase: per axis, ONE pointwise pass assembles every
+// Convective phase: per axis b, ONE pointwise pass assembles every
 // conserved variable's flux into flux_bufs_ (through the noinline
 // flux_*_row kernels) and ONE batched derivative pass accumulates all
-// the divergences into dUdt: 2 sweeps per axis.
+// the divergences into dUdt: 2 sweeps per axis. The assembly covers
+// exactly what the divergence along b reads: the interior plus b's own
+// exchanged ghost layers.
 void RhsEvaluator::eval_convective(const State& U, State& dUdt) {
   trace::Span sp_conv("rhs.convective", "solver");
   const int ns = mech_->n_species();
-  auto du_all = dUdt.flat();
-  std::fill(du_all.begin(), du_all.end(), 0.0);
+  dUdt.zero_interior();
   pass_stats_.count();  // dUdt zero-fill
 
   const double* re0 = U.var(UIndex::e0);
@@ -626,7 +625,7 @@ void RhsEvaluator::eval_convective(const State& U, State& dUdt) {
 
     {
       trace::Span sp("pass.flux_assemble", "solver");
-      pass.run_valid(l_, ghosts_, &pass_stats_);
+      pass.run_with_axis_ghosts(l_, b, ghosts_, &pass_stats_);
     }
     {
       trace::Span sp("pass.flux_div", "solver");

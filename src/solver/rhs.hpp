@@ -11,9 +11,10 @@
 // the correction velocity that enforces eq. 15, and q from eq. 20.
 //
 // Evaluation order per call (which is also S3D's structure):
-//   1. primitives from U (interior), 2. halo exchange of primitives,
-//   3. gradients + transport + diffusive fluxes (interior),
-//   4. halo exchange of diffusive fluxes, 5. total flux divergences and
+//   1. primitives from U (interior), 2. face-only halo exchange of
+//      primitives, 3. gradients + transport + diffusive fluxes
+//      (interior), 4. halo exchange of the diffusive fluxes, each axis
+//      carrying only the fluxes along it, 5. total flux divergences and
 //      chemistry, 6. NSCBC boundary corrections.
 
 #include <array>
@@ -60,8 +61,8 @@ class RhsEvaluator {
                std::array<int, 3> offset, GhostFlags ghosts, Halo& halo,
                vmpi::Comm* comm = nullptr);
 
-  /// Evaluate dU/dt at time t. Interiors of dUdt are written; its ghost
-  /// entries are zeroed.
+  /// Evaluate dU/dt at time t. Only the interior of dUdt is written; its
+  /// ghost entries are left as they were.
   void eval(const State& U, double t, State& dUdt);
 
   /// Primitive fields from the most recent eval (valid incl. exchanged

@@ -201,8 +201,7 @@ void Solver::step(double dt) {
   trace::Span sp_step("solver.step", "solver");
   const TripFold fold =
       trip_armed_ ? tripwire_fold(steps_ + 1) : TripFold::none;
-  auto k = k_.flat();
-  std::fill(k.begin(), k.end(), 0.0);
+  k_.zero_interior();
   pass_stats_.count();  // k zero-fill
   for (int s = 0; s < scheme_.stages(); ++s) {
     trace::Span sp_stage("solver.rk_stage", "solver");
@@ -224,24 +223,21 @@ void Solver::step(double dt) {
           rk_axpy_row(kv, uv, duv, A, B, dt, r.n0, r.count);
         });
       }
-      pass.add("tripwire", [this, &l](const RowRange& r) {
-        if (r.j < 0 || r.j >= l.ny || r.k < 0 || r.k >= l.nz) return;
-        trip_acc_.check_row(U_, trip_params_,
-                            r.n0 + static_cast<std::size_t>(0 - r.i0), 0,
-                            l.nx, r.j, r.k);
+      pass.add("tripwire", [this](const RowRange& r) {
+        trip_acc_.check_row(U_, trip_params_, r.n0, r.i0, r.count, r.j,
+                            r.k);
       });
-      pass.run_full(l, &pass_stats_);
+      pass.run_interior(l, &pass_stats_);
     } else {
-      // Same kernel over the same full-box rows, one variable at a time.
+      // Same kernel over the same interior rows, one variable at a time.
       const Layout& l = rhs_->layout();
-      const int ilo = -l.gx, count = l.nx + 2 * l.gx;
       for (int v = 0; v < U_.nv(); ++v) {
         double* kv = k_.var(v);
         double* uv = U_.var(v);
         const double* duv = dU_.var(v);
-        for (int kk = -l.gz; kk < l.nz + l.gz; ++kk)
-          for (int j = -l.gy; j < l.ny + l.gy; ++j)
-            rk_axpy_row(kv, uv, duv, A, B, dt, l.at(ilo, j, kk), count);
+        for (int kk = 0; kk < l.nz; ++kk)
+          for (int j = 0; j < l.ny; ++j)
+            rk_axpy_row(kv, uv, duv, A, B, dt, l.at(0, j, kk), l.nx);
       }
       pass_stats_.count(U_.nv());
     }
@@ -311,8 +307,7 @@ void Solver::arm_error_estimate(const BlockMap& map, double atol,
 
 void Solver::step_region(double dt, std::span<const RowRange> segs) {
   trace::Span sp_step("solver.substep", "solver");
-  auto k = k_.flat();
-  std::fill(k.begin(), k.end(), 0.0);
+  k_.zero_interior();
   pass_stats_.count();  // k zero-fill
   for (int s = 0; s < scheme_.stages(); ++s) {
     trace::Span sp_stage("solver.rk_stage", "solver");
@@ -373,7 +368,10 @@ void Solver::apply_filter(bool fold_tripwires) {
     if (l.active(a)) last_axis = a;
   for (int axis = 0; axis < 3; ++axis) {
     if (!l.active(axis)) continue;
-    halo_->exchange(vars);
+    // Filter lines along `axis` read only that axis's ghosts.
+    Halo::AxisFields only;
+    only[axis] = vars;
+    halo_->exchange(only);
     if (fold_tripwires && axis == last_axis) {
       // Fused commit: filter every variable into its own buffer, then
       // ONE pass copies all interiors back with the tripwire stage
@@ -447,7 +445,9 @@ const Prim& Solver::primitives() {
       rhs_->prim().w.data(),   rhs_->prim().T.data(), rhs_->prim().p.data(),
       rhs_->prim().Wbar.data()};
   for (int s = 0; s < ns; ++s) fields.push_back(rhs_->prim().Y[s].data());
-  halo_->exchange(fields);
+  // The one corner-filling exchange: analysis box filters read edges and
+  // corners of the primitives.
+  halo_->exchange_with_corners(fields);
   return rhs_->prim();
 }
 

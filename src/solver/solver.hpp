@@ -89,7 +89,8 @@ class Solver {
   double cached_dt() const { return dt_cached_; }
 
   /// Recompute primitives from the current conserved state (diagnostics;
-  /// ghost shells are re-exchanged too) and return them.
+  /// ghost shells are re-exchanged too, edges and corners included) and
+  /// return them.
   const Prim& primitives();
 
   State& state() { return U_; }

@@ -5,6 +5,17 @@
 
 namespace s3d::solver {
 
+void State::zero_interior() {
+  for (int v = 0; v < nv_; ++v) {
+    double* f = var(v);
+    for (int k = 0; k < l_.nz; ++k)
+      for (int j = 0; j < l_.ny; ++j) {
+        const std::size_t row = l_.at(0, j, k);
+        std::fill(f + row, f + row + l_.nx, 0.0);
+      }
+  }
+}
+
 void prim_from_conserved(const chem::Mechanism& mech, const State& U,
                          Prim& prim, const PrimOptions& opts,
                          PrimStats* stats) {

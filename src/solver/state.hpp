@@ -45,6 +45,10 @@ class State {
     return var(v)[l_.at(i, j, k)];
   }
 
+  /// Zero the interior of every variable; ghost entries keep their
+  /// values.
+  void zero_interior();
+
   std::span<double> flat() { return u_; }
   std::span<const double> flat() const { return u_; }
   std::size_t block() const { return block_; }

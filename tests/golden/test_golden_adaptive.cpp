@@ -203,6 +203,15 @@ TEST(GoldenAdaptive, LocalizedRecoveryBitwiseAcrossDecompositions) {
     GTEST_SKIP() << "golden record refreshed: " << golden_path();
   }
 
+#ifdef S3D_SANITIZER_LANE
+  // The committed record pins the *default* build's FP codegen;
+  // sanitizer instrumentation perturbs instruction selection enough to
+  // change the trajectory's bits. The within-build decomposition
+  // contract above already ran at full strength — only the cross-build
+  // disk comparison is skipped.
+  GTEST_SKIP() << "golden records pin the default build's FP codegen";
+#endif
+
   AdaptiveGolden gold;
   ASSERT_TRUE(load(gold)) << "missing golden record " << golden_path()
                           << " — generate with S3D_GOLDEN_REFRESH=1";

@@ -3,11 +3,18 @@
 // Halo copies each slab as contiguous runs and keeps one reusable buffer
 // set. PointwiseHalo below is the earlier per-point algorithm, kept here
 // (and only here) as the reference: one Layout::at per element, the
-// exchanged axis innermost, fresh buffers per call. Every test runs both
-// on identical fields, every cell (ghosts, edges and corners included)
-// seeded with distinct values, and compares the whole ghosted boxes
-// bitwise. Local extents below the ghost width make the periodic wrap read
-// ghost cells, so stale-ghost reads must match exactly as well.
+// exchanged axis innermost, fresh buffers per call. It runs in the same
+// two shapes as Halo: face-only slabs (the other axes' interior) and the
+// corner-filling request (the other axes' full ghosted extents). Every
+// test runs both on identical fields, every cell seeded with distinct
+// values, and compares the whole ghosted boxes bitwise; after a
+// face-only exchange every edge and corner cell must still hold the
+// sentinel it was seeded with. Local extents below the ghost width make
+// the periodic wrap read ghost cells, so stale-ghost reads must match
+// exactly as well.
+//
+// HaloPlan pins the bytes one RHS evaluation and one step put on the
+// wire, from the face-only slab formula.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "solver/cases.hpp"
 #include "solver/halo.hpp"
 #include "solver/layout.hpp"
+#include "solver/solver.hpp"
+#include "trace/trace.hpp"
 #include "vmpi/vmpi.hpp"
 
 namespace sv = s3d::solver;
@@ -34,33 +44,41 @@ class PointwiseHalo {
                 vmpi::Comm* comm = nullptr, const vmpi::Cart* cart = nullptr)
       : l_(l), periodic_(periodic), comm_(comm), cart_(cart) {}
 
-  void exchange(const std::vector<double*>& fields) {
+  /// fields[a] is exchanged along axis a (an empty list skips it);
+  /// `corners` widens each slab to the other axes' ghosted extents.
+  void exchange(const sv::Halo::AxisFields& fields, bool corners) {
+    corners_ = corners;
     for (int axis = 0; axis < 3; ++axis) {
-      if (!l_.active(axis)) continue;
+      const std::vector<double*>& fs = fields[axis];
+      if (fs.empty() || !l_.active(axis)) continue;
       if (comm_ && cart_) {
         const bool self_lo = cart_->neighbor(axis, -1) == comm_->rank();
         const bool self_hi = cart_->neighbor(axis, +1) == comm_->rank();
         if (self_lo && self_hi) {
-          for (double* f : fields) exchange_axis_local(f, axis);
+          for (double* f : fs) exchange_axis_local(f, axis);
         } else if (cart_->neighbor(axis, -1) >= 0 ||
                    cart_->neighbor(axis, +1) >= 0) {
-          exchange_axis_parallel(fields, axis);
+          exchange_axis_parallel(fs, axis);
         }
       } else if (periodic_[axis]) {
-        for (double* f : fields) exchange_axis_local(f, axis);
+        for (double* f : fs) exchange_axis_local(f, axis);
       }
     }
   }
 
  private:
+  // Orthogonal extent of axis b: interior, or ghosted with corners.
+  int olo(int b) const { return corners_ ? -l_.g(b) : 0; }
+  int ohi(int b) const { return l_.n(b) + (corners_ ? l_.g(b) : 0); }
+
   // Visit all (i, j, k) of a slab: `axis` runs over [a_begin, a_end), the
-  // orthogonal axes run over their full ghosted extents.
+  // orthogonal axes over their olo/ohi extents.
   template <typename Fn>
   void slab(int axis, int a_begin, int a_end, Fn&& fn) const {
     const int a1 = (axis + 1) % 3, a2 = (axis + 2) % 3;
     int ijk[3];
-    for (int q = -l_.g(a2); q < l_.n(a2) + l_.g(a2); ++q)
-      for (int r = -l_.g(a1); r < l_.n(a1) + l_.g(a1); ++r)
+    for (int q = olo(a2); q < ohi(a2); ++q)
+      for (int r = olo(a1); r < ohi(a1); ++r)
         for (int s = a_begin; s < a_end; ++s) {
           ijk[axis] = s;
           ijk[a1] = r;
@@ -105,10 +123,10 @@ class PointwiseHalo {
     // Own tag range, so no message can pair with one of Halo's.
     const int tag_up = 900 + axis * 2;
     const int tag_down = 901 + axis * 2;
-    const std::size_t slab_elems =
-        fields.size() * static_cast<std::size_t>(g) *
-        (l_.n((axis + 1) % 3) + 2 * l_.g((axis + 1) % 3)) *
-        (l_.n((axis + 2) % 3) + 2 * l_.g((axis + 2) % 3));
+    const int a1 = (axis + 1) % 3, a2 = (axis + 2) % 3;
+    const std::size_t slab_elems = fields.size() *
+                                   static_cast<std::size_t>(g) *
+                                   (ohi(a1) - olo(a1)) * (ohi(a2) - olo(a2));
     std::vector<double> send_hi, send_lo, recv_lo(slab_elems),
         recv_hi(slab_elems);
     std::vector<vmpi::Request> reqs;
@@ -131,6 +149,7 @@ class PointwiseHalo {
   std::array<bool, 3> periodic_;
   vmpi::Comm* comm_;
   const vmpi::Cart* cart_;
+  bool corners_ = false;
 };
 
 // splitmix64: distinct, reproducible bit patterns for every cell.
@@ -162,31 +181,70 @@ struct Case {
   }
 };
 
+// Seed value of every edge and corner ghost cell (a cell outside the
+// interior along two or more axes), which no face-only exchange may write.
+constexpr double kSentinel = -0x1.5e7p+900;
+
+bool is_edge_or_corner(const sv::Layout& l, int i, int j, int k) {
+  const int ijk[3] = {i, j, k};
+  int outside = 0;
+  for (int a = 0; a < 3; ++a)
+    outside += ijk[a] < 0 || ijk[a] >= l.n(a) ? 1 : 0;
+  return outside >= 2;
+}
+
+/// One exchange call: the number of fields sent along each axis (the
+/// first counts[a] fields), and which Halo entry point carries them.
+struct Exchange {
+  enum class Call { faces, per_axis, corners };
+  Call call;
+  std::array<int, 3> counts;
+};
+
+Exchange faces(int nf) { return {Exchange::Call::faces, {nf, nf, nf}}; }
+Exchange corners(int nf) { return {Exchange::Call::corners, {nf, nf, nf}}; }
+Exchange per_axis(int nx, int ny, int nz) {
+  return {Exchange::Call::per_axis, {nx, ny, nz}};
+}
+
 // Runs Halo and PointwiseHalo side by side on one rank's fields. Before
-// each exchange the interiors of the first `counts[e]` fields are
-// re-seeded (ghosts keep what the previous exchange left); after it, the
-// whole ghosted boxes must agree bitwise. One Halo serves the whole
+// each exchange the interiors of the fields it sends are re-seeded
+// (ghosts keep what the previous exchange left); after it, the whole
+// ghosted boxes must agree bitwise, and after a face-only exchange every
+// edge and corner must still hold the sentinel. One Halo serves the whole
 // sequence, so stale or mis-sized reused buffers show up as mismatches.
 // Returns "" or a description of the first mismatch.
-std::string compare_on_rank(const Case& c, const std::vector<int>& counts,
+std::string compare_on_rank(const Case& c, const std::vector<Exchange>& seq,
                             vmpi::Comm* comm, const vmpi::Cart* cart) {
   const sv::Layout l = sv::Layout::make(c.n[0], c.n[1], c.n[2]);
   const int rank = comm ? comm->rank() : 0;
-  const int nmax = *std::max_element(counts.begin(), counts.end());
+  bool any_corners = false;
+  int nmax = 0;
+  for (const Exchange& e : seq) {
+    any_corners = any_corners || e.call == Exchange::Call::corners;
+    for (int nf : e.counts) nmax = std::max(nmax, nf);
+  }
   std::vector<sv::GField> got, want;
   for (int f = 0; f < nmax; ++f) {
     got.emplace_back(l);
-    for (std::size_t idx = 0; idx < l.total(); ++idx)
-      got.back().data()[idx] = cell_value(0, rank, f, idx);
+    for (int k = -l.gz; k < l.nz + l.gz; ++k)
+      for (int j = -l.gy; j < l.ny + l.gy; ++j)
+        for (int i = -l.gx; i < l.nx + l.gx; ++i) {
+          const std::size_t idx = l.at(i, j, k);
+          got.back().data()[idx] = is_edge_or_corner(l, i, j, k)
+                                       ? kSentinel
+                                       : cell_value(0, rank, f, idx);
+        }
     want.push_back(got.back());
   }
   sv::Halo halo = comm ? sv::Halo(l, c.periodic, comm, cart)
                        : sv::Halo(l, c.periodic);
   PointwiseHalo ref(l, c.periodic, comm, cart);
 
-  for (std::size_t e = 0; e < counts.size(); ++e) {
-    std::vector<double*> pg, pw;
-    for (int f = 0; f < counts[e]; ++f) {
+  for (std::size_t e = 0; e < seq.size(); ++e) {
+    const Exchange& ex = seq[e];
+    const int nf = *std::max_element(ex.counts.begin(), ex.counts.end());
+    for (int f = 0; f < nf; ++f)
       for (int k = 0; k < l.nz; ++k)
         for (int j = 0; j < l.ny; ++j)
           for (int i = 0; i < l.nx; ++i) {
@@ -194,22 +252,34 @@ std::string compare_on_rank(const Case& c, const std::vector<int>& counts,
             got[f].data()[idx] = want[f].data()[idx] =
                 cell_value(e + 1, rank, f, idx);
           }
-      pg.push_back(got[f].data());
-      pw.push_back(want[f].data());
+    sv::Halo::AxisFields pg, pw;
+    for (int a = 0; a < 3; ++a)
+      for (int f = 0; f < ex.counts[a]; ++f) {
+        pg[a].push_back(got[f].data());
+        pw[a].push_back(want[f].data());
+      }
+    switch (ex.call) {
+      case Exchange::Call::faces: halo.exchange(pg[0]); break;
+      case Exchange::Call::per_axis: halo.exchange(pg); break;
+      case Exchange::Call::corners: halo.exchange_with_corners(pg[0]); break;
     }
-    halo.exchange(pg);
-    ref.exchange(pw);
-    for (int f = 0; f < counts[e]; ++f)
+    ref.exchange(pw, ex.call == Exchange::Call::corners);
+
+    for (int f = 0; f < nmax; ++f)
       for (int k = -l.gz; k < l.nz + l.gz; ++k)
         for (int j = -l.gy; j < l.ny + l.gy; ++j)
           for (int i = -l.gx; i < l.nx + l.gx; ++i) {
             const std::size_t idx = l.at(i, j, k);
-            if (std::memcmp(&got[f].data()[idx], &want[f].data()[idx],
-                            sizeof(double)) != 0) {
+            const double g = got[f].data()[idx];
+            const bool same =
+                std::memcmp(&g, &want[f].data()[idx], sizeof(double)) == 0;
+            const bool kept = any_corners || !is_edge_or_corner(l, i, j, k) ||
+                              g == kSentinel;
+            if (!same || !kept) {
               std::ostringstream os;
-              os << c.name() << ": exchange " << e << " (" << counts[e]
-                 << " fields), rank " << rank << ", field " << f
-                 << ", cell (" << i << ", " << j << ", " << k << ")";
+              os << c.name() << ": exchange " << e << ", rank " << rank
+                 << ", field " << f << ", cell (" << i << ", " << j << ", "
+                 << k << ")" << (same ? " overwrote an edge/corner" : "");
               return os.str();
             }
           }
@@ -217,18 +287,24 @@ std::string compare_on_rank(const Case& c, const std::vector<int>& counts,
   return "";
 }
 
-void expect_matches_pointwise(const Case& c, const std::vector<int>& counts) {
+void expect_matches_pointwise(const Case& c, const std::vector<Exchange>& seq) {
   if (c.serial()) {
-    EXPECT_EQ(compare_on_rank(c, counts, nullptr, nullptr), "");
+    EXPECT_EQ(compare_on_rank(c, seq, nullptr, nullptr), "");
     return;
   }
   const int nranks = c.np[0] * c.np[1] * c.np[2];
   std::vector<std::string> err(nranks);
   vmpi::run(nranks, [&](vmpi::Comm& comm) {
     const vmpi::Cart cart(comm, c.np[0], c.np[1], c.np[2], c.periodic);
-    err[comm.rank()] = compare_on_rank(c, counts, &comm, &cart);
+    err[comm.rank()] = compare_on_rank(c, seq, &comm, &cart);
   });
   for (int r = 0; r < nranks; ++r) EXPECT_EQ(err[r], "") << "rank " << r;
+}
+
+/// Both shapes of a single `nf`-field exchange.
+void expect_both_shapes_match(const Case& c, int nf) {
+  expect_matches_pointwise(c, {faces(nf)});
+  expect_matches_pointwise(c, {corners(nf)});
 }
 
 constexpr std::array<bool, 3> kAllPeriodic{true, true, true};
@@ -236,13 +312,12 @@ constexpr std::array<bool, 3> kAllPeriodic{true, true, true};
 TEST(Halo, SerialPeriodicMatchesPointwise) {
   for (int nf : {1, 36}) {
     SCOPED_TRACE(nf);
-    expect_matches_pointwise({{1, 1, 1}, {9, 1, 1}, kAllPeriodic}, {nf});
-    expect_matches_pointwise({{1, 1, 1}, {7, 6, 1}, kAllPeriodic}, {nf});
-    expect_matches_pointwise({{1, 1, 1}, {6, 5, 7}, kAllPeriodic}, {nf});
+    expect_both_shapes_match({{1, 1, 1}, {9, 1, 1}, kAllPeriodic}, nf);
+    expect_both_shapes_match({{1, 1, 1}, {7, 6, 1}, kAllPeriodic}, nf);
+    expect_both_shapes_match({{1, 1, 1}, {6, 5, 7}, kAllPeriodic}, nf);
   }
   // Non-periodic axes are left to the boundary closures.
-  expect_matches_pointwise({{1, 1, 1}, {6, 5, 7}, {false, true, false}},
-                           {3});
+  expect_both_shapes_match({{1, 1, 1}, {6, 5, 7}, {false, true, false}}, 3);
 }
 
 TEST(Halo, ParallelSplitsMatchPointwise) {
@@ -259,7 +334,7 @@ TEST(Halo, ParallelSplitsMatchPointwise) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name());
-    for (int nf : {1, 36}) expect_matches_pointwise(c, {nf});
+    for (int nf : {1, 36}) expect_both_shapes_match(c, nf);
   }
 }
 
@@ -267,34 +342,121 @@ TEST(Halo, ExtentsBelowGhostWidthMatchPointwise) {
   for (int n : {2, 3, 4}) {
     SCOPED_TRACE(n);
     // Serial wrap of every axis at once, and of one short axis.
-    expect_matches_pointwise({{1, 1, 1}, {n, n, n}, kAllPeriodic}, {4});
-    expect_matches_pointwise({{1, 1, 1}, {6, n, 5}, kAllPeriodic}, {4});
-    expect_matches_pointwise({{1, 1, 1}, {n, 1, 1}, kAllPeriodic}, {4});
+    expect_both_shapes_match({{1, 1, 1}, {n, n, n}, kAllPeriodic}, 4);
+    expect_both_shapes_match({{1, 1, 1}, {6, n, 5}, kAllPeriodic}, 4);
+    expect_both_shapes_match({{1, 1, 1}, {n, 1, 1}, kAllPeriodic}, 4);
     // Short extents on split axes (both neighbours one rank, or a
     // physical boundary), and a short axis that wraps through the
     // topology on a single rank.
-    expect_matches_pointwise({{2, 1, 1}, {n, 5, 6}, kAllPeriodic}, {4});
-    expect_matches_pointwise({{2, 2, 2}, {n, n, n}, kAllPeriodic}, {4});
-    expect_matches_pointwise({{1, 2, 2}, {n, n, 6}, {true, false, true}},
-                             {4});
-    expect_matches_pointwise({{4, 2, 1}, {n, 5, n}, {true, true, false}},
-                             {4});
+    expect_both_shapes_match({{2, 1, 1}, {n, 5, 6}, kAllPeriodic}, 4);
+    expect_both_shapes_match({{2, 2, 2}, {n, n, n}, kAllPeriodic}, 4);
+    expect_both_shapes_match({{1, 2, 2}, {n, n, 6}, {true, false, true}}, 4);
+    expect_both_shapes_match({{4, 2, 1}, {n, 5, n}, {true, true, false}}, 4);
   }
 }
 
 TEST(Halo, BackToBackExchangesSeeFreshInteriors) {
-  expect_matches_pointwise({{1, 1, 1}, {6, 5, 7}, kAllPeriodic}, {5, 5});
-  expect_matches_pointwise({{2, 2, 2}, {5, 6, 5}, kAllPeriodic}, {5, 5});
-  expect_matches_pointwise({{2, 1, 1}, {3, 6, 5}, {true, false, true}},
-                           {5, 5});
+  for (const auto& seq : {std::vector<Exchange>{faces(5), faces(5)},
+                          std::vector<Exchange>{corners(5), corners(5)}}) {
+    expect_matches_pointwise({{1, 1, 1}, {6, 5, 7}, kAllPeriodic}, seq);
+    expect_matches_pointwise({{2, 2, 2}, {5, 6, 5}, kAllPeriodic}, seq);
+    expect_matches_pointwise({{2, 1, 1}, {3, 6, 5}, {true, false, true}},
+                             seq);
+  }
 }
 
 TEST(Halo, FieldCountChangesReuseOneBufferSet) {
-  const std::vector<int> counts = {17, 36, 14};
-  expect_matches_pointwise({{1, 1, 1}, {5, 6, 7}, kAllPeriodic}, counts);
-  expect_matches_pointwise({{2, 1, 1}, {5, 6, 7}, kAllPeriodic}, counts);
-  expect_matches_pointwise({{2, 2, 2}, {6, 5, 5}, {true, true, false}},
-                           counts);
+  // Growing and shrinking field counts across all three entry points.
+  const std::vector<Exchange> seq = {faces(17), per_axis(12, 14, 12),
+                                     corners(36), faces(14)};
+  expect_matches_pointwise({{1, 1, 1}, {5, 6, 7}, kAllPeriodic}, seq);
+  expect_matches_pointwise({{2, 1, 1}, {5, 6, 7}, kAllPeriodic}, seq);
+  expect_matches_pointwise({{2, 2, 2}, {6, 5, 5}, {true, true, false}}, seq);
+}
+
+// Per-axis lists, including the filter's shape (one axis only) and lists
+// where some axes are empty: an empty axis is skipped entirely, its
+// ghosts keep their seeds.
+TEST(Halo, PerAxisListsSkipEmptyAxes) {
+  const std::vector<std::vector<Exchange>> seqs = {
+      {per_axis(3, 0, 0), per_axis(0, 3, 0), per_axis(0, 0, 3)},
+      {per_axis(0, 4, 2), per_axis(5, 0, 1)},
+      {per_axis(2, 3, 4)},
+  };
+  const std::vector<Case> cases = {
+      {{1, 1, 1}, {6, 5, 7}, kAllPeriodic},
+      {{1, 1, 2}, {6, 5, 7}, kAllPeriodic},
+      {{2, 2, 2}, {5, 6, 5}, {true, false, true}},
+      {{1, 1, 1}, {3, 4, 2}, kAllPeriodic},  // extents below the ghost width
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name());
+    for (const auto& seq : seqs) expect_matches_pointwise(c, seq);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bytes on the wire, a hard structural gate: a 3-D periodic box split in
+// two along z, so only z exchanges cross ranks (x and y wrap locally and
+// put nothing on the wire). One face slab is g * nx * ny cells, sent in
+// both directions by both ranks. One RHS evaluation sends the 8 + ns
+// primitive fields (rho u v w T p Wbar, rho e0, Y) and, along z, the
+// 3 + 1 + (ns - 1) fluxes the z divergence reads (tau[a][z], q_z, J_{s,z});
+// for H2 (ns = 9) that is 17 + 12 fields. One step adds one nv-field
+// filter slab along z.
+
+TEST(HaloPlan, BytesPerEvalArePinned) {
+#ifdef S3D_TRACE_DISABLED
+  GTEST_SKIP() << "halo.bytes is a trace counter";
+#endif
+  constexpr int kN = 12;
+  const auto setup = sv::pressure_wave_case(kN);
+  const int ns = setup.cfg.mech->n_species();
+  const int nv = sv::n_conserved(ns);
+  const double slab = 2.0 /*directions*/ * 2.0 /*ranks*/ * sv::kNg * kN *
+                      kN * sizeof(double);
+  const double want_eval = ((8 + ns) + (3 + 1 + (ns - 1))) * slab;
+  const double want_filter = nv * slab;
+
+  auto bytes = [] {
+    const s3d::trace::Summary sum = s3d::trace::summarize();
+    const auto* c = sum.find_counter("halo.bytes");
+    return c ? c->total : 0.0;
+  };
+  s3d::trace::clear();
+  s3d::trace::set_enabled(true);
+  double eval_bytes = 0.0, step_bytes = 0.0;
+  int evals_per_step = 0;
+  vmpi::run(2, [&](vmpi::Comm& comm) {
+    sv::Solver s(setup.cfg, comm, 1, 1, 2);
+    s.initialize(setup.init);
+    const double dt = s.stable_dt();
+    sv::State dUdt(s.layout(), s.state().nv());
+    // Both ranks quiesce around every read of the rank-summed counter.
+    auto read = [&] {
+      comm.barrier();
+      const double b = bytes();
+      comm.barrier();
+      return b;
+    };
+    const double b0 = read();
+    s.rhs().eval(s.state(), 0.0, dUdt);
+    const double b1 = read();
+    const int e0 = s.rhs().timers().evals;
+    s.step(dt);
+    const double b2 = read();
+    if (comm.rank() == 0) {
+      eval_bytes = b1 - b0;
+      step_bytes = b2 - b1;
+      evals_per_step = s.rhs().timers().evals - e0;
+    }
+  });
+  s3d::trace::set_enabled(false);
+  s3d::trace::clear();
+
+  EXPECT_EQ(eval_bytes, want_eval);
+  ASSERT_GT(evals_per_step, 0);
+  EXPECT_EQ(step_bytes, evals_per_step * want_eval + want_filter);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // Fusion must never change per-cell arithmetic, only traversal
 // structure. These tests pin that contract at every layer:
 //   - batched_deriv (assign) against the per-field FieldOps::deriv,
+//     both writing interior lines only,
 //   - batched_deriv (accumulate) against the unfused scratch-buffer
 //     write / read / subtract triple it replaces,
 //   - FusedPointwise stage permutations against sequential sweeps
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -83,9 +85,11 @@ struct OpsBox {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// batched_deriv, assign mode: one tiled traversal per axis must equal the
+// batched_deriv, assign mode: one traversal per axis must equal the
 // per-field operator bit for bit, with and without ghosted boundaries and
-// with a stretched (per-point metric) axis.
+// with a stretched (per-point metric) axis. Both write interior lines
+// only: outputs start as NaN, and the whole ghosted boxes must still
+// match, so a ghost write by either side shows up.
 
 TEST(BatchedDeriv, AssignMatchesPerFieldDeriv) {
   for (const bool periodic : {true, false}) {
@@ -94,11 +98,12 @@ TEST(BatchedDeriv, AssignMatchesPerFieldDeriv) {
       OpsBox box(12, 10, 9, periodic, stretch);
       const sv::Layout& l = box.l;
       constexpr int kFields = 4;
+      const double nan = std::numeric_limits<double>::quiet_NaN();
       std::vector<sv::GField> src(kFields), out(kFields), ref(kFields);
       for (int f = 0; f < kFields; ++f) {
         src[f] = sv::GField(l);
-        out[f] = sv::GField(l);
-        ref[f] = sv::GField(l);
+        out[f] = sv::GField(l, nan);
+        ref[f] = sv::GField(l, nan);
         fill_field(l, src[f].data(), f);
       }
       for (int axis = 0; axis < 3; ++axis) {
@@ -112,11 +117,16 @@ TEST(BatchedDeriv, AssignMatchesPerFieldDeriv) {
                           &stats);
         EXPECT_EQ(stats.sweeps, 1);
         EXPECT_EQ(stats.stages, kFields);
-        for (int f = 0; f < kFields; ++f)
+        for (int f = 0; f < kFields; ++f) {
           EXPECT_TRUE(bitwise_equal(out[f].data(), ref[f].data(), l.total(),
                                     "assign deriv"))
               << "axis " << axis << " field " << f << " periodic " << periodic
               << " stretch " << stretch;
+          EXPECT_TRUE(std::isnan(out[f](-1, 0, 0)) &&
+                      std::isnan(out[f](0, -1, 0)) &&
+                      std::isnan(out[f](0, 0, l.nz)))
+              << "ghost cells must stay unwritten, axis " << axis;
+        }
       }
     }
   }
@@ -210,23 +220,34 @@ TEST(FusedPointwise, StagePermutationsAreBitwiseIdentical) {
   for (int s = 0; s < kStages; ++s) ref[s] = sv::GField(l, 0.0);
   build(orders[0], ref).run_interior_sequential(l, nullptr);
 
+  // The masked-commit shape: the interior rows as an explicit segment
+  // list, each row split in two.
+  std::vector<sv::RowRange> segs;
+  for (int k = 0; k < l.nz; ++k)
+    for (int j = 0; j < l.ny; ++j) {
+      const int half = l.nx / 2;
+      segs.push_back({l.at(0, j, k), 0, half, j, k});
+      segs.push_back({l.at(half, j, k), half, l.nx - half, j, k});
+    }
+
   for (const auto& order : orders) {
-    for (const char* shape : {"interior", "valid", "full"}) {
+    for (const char* shape : {"interior", "x ghosts", "z ghosts", "segments"}) {
       std::vector<sv::GField> out(kStages);
       for (int s = 0; s < kStages; ++s) out[s] = sv::GField(l, 0.0);
       sv::PassStats stats;
       sv::FusedPointwise pass = build(order, out);
       if (std::strcmp(shape, "interior") == 0)
         pass.run_interior(l, &stats);
-      else if (std::strcmp(shape, "valid") == 0)
-        pass.run_valid(l, box.ghosts(true), &stats);
+      else if (std::strcmp(shape, "x ghosts") == 0)
+        pass.run_with_axis_ghosts(l, 0, box.ghosts(true), &stats);
+      else if (std::strcmp(shape, "z ghosts") == 0)
+        pass.run_with_axis_ghosts(l, 2, box.ghosts(true), &stats);
       else
-        pass.run_full(l, &stats);
+        pass.run_segments(segs, &stats);
       EXPECT_EQ(stats.sweeps, 1);
       EXPECT_EQ(stats.stages, kStages);
-      // Interior values agree across permutations and shapes (the wider
-      // shapes additionally write ghost rows, checked via full-box
-      // comparison between same-shape runs below).
+      // Interior values agree across permutations and shapes (the axis
+      // ghost shapes additionally write that axis's ghost rows).
       for (int s = 0; s < kStages; ++s)
         for (int k = 0; k < l.nz; ++k)
           for (int j = 0; j < l.ny; ++j) {
@@ -239,17 +260,52 @@ TEST(FusedPointwise, StagePermutationsAreBitwiseIdentical) {
     }
   }
 
-  // Fused vs sequential over the full ghosted box, same order.
+  // Fused vs sequential over the whole ghosted box, same order: ghost
+  // cells stay untouched by both.
   std::vector<sv::GField> fused(kStages), seq(kStages);
   for (int s = 0; s < kStages; ++s) {
     fused[s] = sv::GField(l, 0.0);
     seq[s] = sv::GField(l, 0.0);
   }
-  build(orders[0], fused).run_valid(l, box.ghosts(true), nullptr);
-  build(orders[0], seq).run_valid_sequential(l, box.ghosts(true), nullptr);
+  build(orders[0], fused).run_interior(l, nullptr);
+  build(orders[0], seq).run_interior_sequential(l, nullptr);
   for (int s = 0; s < kStages; ++s)
     EXPECT_TRUE(bitwise_equal(fused[s].data(), seq[s].data(), l.total(),
                               "fused vs sequential"));
+}
+
+// The axis-ghost shape covers exactly the interior plus that axis's ghost
+// layers on the flagged sides: every other cell keeps its prior value.
+TEST(FusedPointwise, AxisGhostShapeCoversInteriorPlusAxisGhosts) {
+  OpsBox box(7, 6, 5, true);
+  const sv::Layout& l = box.l;
+  for (int axis = 0; axis < 3; ++axis)
+    for (const bool lo : {true, false}) {
+      sv::GhostFlags gh;
+      gh.lo[axis] = lo;
+      gh.hi[axis] = true;
+      sv::GField hit(l, 0.0);
+      sv::FusedPointwise pass("test.cover");
+      double* h = hit.data();
+      pass.add("mark", [h](const sv::RowRange& r) {
+        for (int c = 0; c < r.count; ++c) h[r.n0 + c] += 1.0;
+      });
+      pass.run_with_axis_ghosts(l, axis, gh, nullptr);
+      for (int k = -l.gz; k < l.nz + l.gz; ++k)
+        for (int j = -l.gy; j < l.ny + l.gy; ++j)
+          for (int i = -l.gx; i < l.nx + l.gx; ++i) {
+            const int ijk[3] = {i, j, k};
+            bool in = true;
+            for (int a = 0; a < 3; ++a) {
+              const int lo_a = a == axis && lo ? -l.g(a) : 0;
+              const int hi_a = l.n(a) + (a == axis ? l.g(a) : 0);
+              in = in && ijk[a] >= lo_a && ijk[a] < hi_a;
+            }
+            ASSERT_EQ(hit(i, j, k), in ? 1.0 : 0.0)
+                << "axis " << axis << " lo " << lo << " cell (" << i << ", "
+                << j << ", " << k << ")";
+          }
+    }
 }
 
 // ---------------------------------------------------------------------------
